@@ -31,8 +31,6 @@ from .finabelian import (
 )
 from .groupring import (
     GRElement,
-    GroupElem,
-    GroupPresentation,
     ShiftModule,
     SubmodulePresentation,
     coeff_quotient,

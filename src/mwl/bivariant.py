@@ -118,7 +118,8 @@ def cover_bivariant(g: FinAbGroup, a: FiniteSubset, b: FiniteSubset,
     cover_all = 0
     for _, mask in candidates:
         cover_all |= mask
-    assert cover_all == full  # every a = a - y + y with y in b is coverable
+    if cover_all != full:  # every a = a - y + y with y in b is coverable
+        raise DomainError("cover candidates miss an element of the set")
 
     # Greedy seed for the upper bound.
     best_size = 0
@@ -162,7 +163,8 @@ def cover_bivariant(g: FinAbGroup, a: FiniteSubset, b: FiniteSubset,
         witness = found
         best = len(witness) - 1
 
-    assert witness is not None
+    if witness is None:  # the greedy cover is found at its own size
+        raise DomainError("cover search found no cover")
     return LengthValue.log_count(len(witness)), FiniteSubset.from_items(g, witness)
 
 
@@ -191,17 +193,13 @@ def unary_value(spec: BivariantSpec, g, a) -> LengthValue:
     return eval_weak_length(spec.base, g, a)
 
 
-def kernel_witness(spec: BivariantSpec, phi: AbHom, a: FiniteSubset,
-                   epsilon=None) -> FiniteSubset:
+def kernel_witness(spec: BivariantSpec, phi: AbHom, a: FiniteSubset) -> FiniteSubset:
     """Finite B <= ker phi with l(A, B) = l(phi(A)).
 
     For cover_log this is (A - A) meet ker phi together with 0.  For
     quotient_length it is a generating set of <A> meet ker phi, which
-    attains the bound exactly (epsilon, accepted for interface parity,
-    must be >= 0 and is otherwise unused).
+    attains the bound exactly.
     """
-    if epsilon is not None and epsilon < 0:
-        raise DomainError("epsilon must be non-negative")
     g = phi.source
     if a.ambient != g:
         raise DomainError("set must live in the source of the homomorphism")

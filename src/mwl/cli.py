@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .bivariant import (
@@ -28,7 +27,7 @@ from .bivariant import (
 )
 from .errors import ConfigurationError, DomainError
 from .finabelian import FinAbGroup
-from .groupring import GroupPresentation, ShiftModule, SubmodulePresentation
+from .groupring import ShiftModule, SubmodulePresentation, coeff_quotient
 from .meanlen import FolnerBoxes, addition_report, default_n_max, ratio_sequence
 from .registry import example_names, run_example
 from .subsets import FiniteSubset
@@ -39,18 +38,14 @@ DEFAULT_SEED = 20260810
 DEFAULT_BUDGET = 200
 
 
-def _parse_group(data) -> FinAbGroup:
-    return FinAbGroup(tuple(data.get("torsion", ())), data.get("free_rank", 0))
-
-
 def _parse_set(group: FinAbGroup, coords_list) -> FiniteSubset:
     return FiniteSubset.of(group, [group.element(c) for c in coords_list])
 
 
-def _parse_witness(module: ShiftModule, pairs_list) -> FiniteSubset:
-    elems = [module.element([(tuple(g), tuple(c)) for g, c in pairs])
-             for pairs in pairs_list]
-    return FiniteSubset.of(module, elems)
+def _parse_witness(module: ShiftModule, pairs_list, read=None) -> FiniteSubset:
+    """Witness elements, each read by `read` (default: module.element)."""
+    read = read or module.element
+    return FiniteSubset.of(module, [read(pairs) for pairs in pairs_list])
 
 
 def _load_scenario(path):
@@ -71,16 +66,13 @@ def _require(scenario, key):
     return scenario[key]
 
 
-def _threads_limit():
-    raw = os.environ.get("MWL_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError("MWL_THREADS must be an integer")
-    if value < 1:
-        raise ConfigurationError("MWL_THREADS must be at least 1")
+def _option(args, name, scenario, default):
+    """A positive integer: the flag if given, else the scenario's value, else the default."""
+    value = getattr(args, name)
+    if value is None:
+        value = scenario.get(name, default)
+    if type(value) is not int or value < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 
@@ -128,7 +120,7 @@ def _estimate_table(est_json) -> list[str]:
 
 def _cmd_wl_eval(args):
     scenario = _load_scenario(args.scenario)
-    group = _parse_group(_require(scenario, "group"))
+    group = FinAbGroup.from_json(_require(scenario, "group"))
     spec = WeakLengthSpec.from_json(_require(scenario, "weak_length"))
     subset = _parse_set(group, _require(scenario, "set"))
     value = eval_weak_length(spec, group, subset)
@@ -145,7 +137,7 @@ def _cmd_wl_axioms(args):
     axioms = scenario.get("axioms", "all")
     if axioms == "all":
         axioms = list(AXIOMS)
-    budget = args.budget or scenario.get("budget", DEFAULT_BUDGET)
+    budget = _option(args, "budget", scenario, DEFAULT_BUDGET)
     seed = args.seed if args.seed is not None else scenario.get("seed", DEFAULT_SEED)
     reports = [check_axiom(spec, axiom, seed, budget) for axiom in axioms]
     failed = [r for r in reports if not r.passed]
@@ -162,7 +154,7 @@ def _cmd_wl_axioms(args):
 
 def _cmd_biv_eval(args):
     scenario = _load_scenario(args.scenario)
-    group = _parse_group(_require(scenario, "group"))
+    group = FinAbGroup.from_json(_require(scenario, "group"))
     spec = BivariantSpec.from_json(_require(scenario, "bivariant"))
     a = _parse_set(group, _require(scenario, "a"))
     b = _parse_set(group, _require(scenario, "b"))
@@ -183,7 +175,7 @@ def _cmd_biv_eval(args):
 def _cmd_biv_check(args):
     scenario = _load_scenario(args.scenario) if args.scenario else {}
     spec = BivariantSpec.from_json(scenario.get("bivariant", {"kind": "cover_log"}))
-    budget = args.budget or scenario.get("budget", 100)
+    budget = _option(args, "budget", scenario, 100)
     seed = args.seed if args.seed is not None else scenario.get("seed", DEFAULT_SEED)
     report = check_upgrading_proper(spec, seed, budget)
     table = [f"proper-upgrading laws for {spec}: "
@@ -193,35 +185,41 @@ def _cmd_biv_check(args):
     return (0 if report.passed else 2), {"result": report.to_json()}, table
 
 
-def _mean_inputs(scenario, args):
-    module = ShiftModule.from_json(_require(scenario, "module"))
+def _mean_inputs(scenario, args, module):
     spec = WeakLengthSpec.from_json(_require(scenario, "weak_length"))
     folner = scenario.get("folner", {"kind": "boxes"})
-    n_max = args.n_max or folner.get("n_max") or default_n_max(module)
-    seq = FolnerBoxes(module.group, n_max)
-    return module, spec, seq
+    n_max = _option(args, "n_max", folner, default_n_max(module))
+    return spec, FolnerBoxes(module.group, n_max)
 
 
 def _cmd_mean(args):
     scenario = _load_scenario(args.scenario)
-    module, spec, seq = _mean_inputs(scenario, args)
-    witness = _parse_witness(module, _require(scenario, "witness"))
+    data = _require(scenario, "module")
+    quotient = data.get("quotient") or {}
+    read = None
+    if quotient.get("closure") == "coeff_subgroup":
+        # the module over C/D; witness coefficients are given in C
+        plain = ShiftModule.from_json({k: v for k, v in data.items() if k != "quotient"})
+        module, project = coeff_quotient(plain, _require(quotient, "generators"))
+
+        def read(pairs):
+            return project(plain.element(pairs))
+    else:
+        module = ShiftModule.from_json(data)
+    spec, seq = _mean_inputs(scenario, args, module)
+    witness = _parse_witness(module, _require(scenario, "witness"), read)
     est = ratio_sequence(module, witness, spec, seq)
     return 0, {"result": est.to_json()}, _estimate_table(est.to_json())
 
 
 def _cmd_addition(args):
     scenario = _load_scenario(args.scenario)
-    module, spec, seq = _mean_inputs(scenario, args)
-    sub_data = _require(scenario, "submodule")
-    if sub_data["closure"] == "coeff_subgroup":
-        submodule = SubmodulePresentation.coeff_subgroup(sub_data["generators"])
-    elif sub_data["closure"] == "principal_z":
-        gens = [tuple((tuple(g), tuple(c)) for g, c in items)
-                for items in sub_data["generators"]]
-        submodule = SubmodulePresentation("principal_z", (), tuple(gens))
-    else:
-        raise ConfigurationError(f"unknown closure {sub_data['closure']!r}")
+    data = _require(scenario, "module")
+    if data.get("quotient") is not None:
+        raise ConfigurationError("total module must be a plain shift module")
+    module = ShiftModule.from_json(data)
+    spec, seq = _mean_inputs(scenario, args, module)
+    submodule = SubmodulePresentation.from_json(_require(scenario, "submodule"), module)
     witnesses = _require(scenario, "witnesses")
     w_sub = _parse_witness(module, _require(witnesses, "submodule"))
     w_total = _parse_witness(module, _require(witnesses, "total"))
@@ -298,7 +296,6 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_limit()  # validated; current kernels are single-threaded
         code, report, table = _HANDLERS[args.command](args)
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

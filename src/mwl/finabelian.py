@@ -131,6 +131,18 @@ class FinAbGroup:
         parts = [f"C{t}" for t in self.torsion] + ["Z"] * self.free_rank
         return " + ".join(parts) if parts else "0"
 
+    def to_json(self):
+        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
+
+    @staticmethod
+    def from_json(data) -> "FinAbGroup":
+        """Parse {"free_rank": r, "torsion": [t_1, ...]}; both keys default to empty."""
+        free_rank = data.get("free_rank", 0)
+        torsion = tuple(data.get("torsion", ()))
+        if not all(type(x) is int for x in (free_rank, *torsion)):
+            raise DomainError("group orders must be integers")
+        return FinAbGroup(torsion, free_rank)
+
 
 @dataclass(frozen=True)
 class AbElement:
@@ -248,7 +260,8 @@ def _subgroup_from_rows(g: FinAbGroup, rows) -> tuple[FinAbGroup, AbHom]:
     rel_in_basis = []
     for rel in g.relation_rows():
         coeffs = solve_left(lattice, rel)
-        assert coeffs is not None  # relations lie inside the lattice
+        if coeffs is None:
+            raise DomainError("group relation outside the subgroup lattice")
         rel_in_basis.append(coeffs)
     sub, _, section = presentation_from_relations(len(lattice), rel_in_basis)
     incl_rows = matmul(section, lattice)

@@ -22,13 +22,18 @@ from functools import cached_property
 from itertools import product as iproduct
 
 from .errors import ConfigurationError, DomainError
-from .finabelian import INFINITE, FinAbGroup, direct_sum_many, quotient_group
+from .finabelian import (
+    INFINITE,
+    AbElement,
+    AbHom,
+    FinAbGroup,
+    direct_sum_many,
+    quotient_group,
+)
 from .laurent import StaircaseBasis, laurent_normal_form
 from .subsets import FiniteSubset, minkowski_sum
 
 __all__ = [
-    "GroupPresentation",
-    "GroupElem",
     "GRElement",
     "ShiftModule",
     "SubmodulePresentation",
@@ -43,89 +48,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GroupPresentation:
-    """Z^free_rank + torsion part; free coordinates first, torsion reduced."""
-
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.free_rank < 0 or any(t < 2 for t in self.torsion):
-            raise DomainError("invalid group presentation")
-
-    @property
-    def dim(self) -> int:
-        return self.free_rank + len(self.torsion)
-
-    def reduce(self, coords) -> tuple[int, ...]:
-        coords = tuple(coords)
-        if len(coords) != self.dim:
-            raise DomainError("coordinate length mismatch")
-        d = self.free_rank
-        return coords[:d] + tuple(c % t for c, t in zip(coords[d:], self.torsion))
-
-    def element(self, coords) -> "GroupElem":
-        return GroupElem(self, self.reduce(coords))
-
-    def identity(self) -> "GroupElem":
-        return GroupElem(self, (0,) * self.dim)
-
-    def add_coords(self, a, b):
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
-
-    def neg_coords(self, a):
-        return self.reduce(tuple(-x for x in a))
-
-    def torsion_part(self):
-        for tail in iproduct(*(range(t) for t in self.torsion)):
-            yield tail
-
-    def cardinality(self) -> int | float:
-        if self.free_rank:
-            return INFINITE
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
-
-    def to_json(self):
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
-
-    @staticmethod
-    def from_json(data) -> "GroupPresentation":
-        return GroupPresentation(data["free_rank"], tuple(data.get("torsion", ())))
-
-
-@dataclass(frozen=True)
-class GroupElem:
-    group: GroupPresentation
-    coords: tuple[int, ...]
-
-    def __add__(self, other):
-        if self.group != other.group:
-            raise DomainError("elements of different groups")
-        return GroupElem(self.group, self.group.add_coords(self.coords, other.coords))
-
-    def __neg__(self):
-        return GroupElem(self.group, self.group.neg_coords(self.coords))
-
-    def is_identity(self):
-        return not any(self.coords)
-
-
-@dataclass(frozen=True)
 class SubmodulePresentation:
-    """Generators of a submodule together with its closure rule.
+    """Generators of the submodule of an addition report, with its closure rule.
 
-    coeff_subgroup: the submodule of functions valued in D = <coeff
-    generators> <= C, for any acting group.  principal_z: the submodule
-    the generators span over the group ring, supported on infinite
-    cyclic support groups with prime-field coefficients.
+    coeff_subgroup: the submodule of functions valued in D = <generators>
+    <= C, each generator a coefficient vector, for any acting group.
+    principal_z: the submodule the generators (module items) span over
+    the group ring, on infinite cyclic support with prime-field
+    coefficients.
     """
 
     closure: str
-    coeff_generators: tuple[tuple[int, ...], ...] = ()
-    element_generators: tuple = ()
+    generators: tuple = ()
 
     def __post_init__(self):
         if self.closure not in ("coeff_subgroup", "principal_z"):
@@ -140,33 +74,45 @@ class SubmodulePresentation:
     def principal(elements) -> "SubmodulePresentation":
         items = tuple(x.items if isinstance(x, GRElement) else tuple(x)
                       for x in elements)
-        return SubmodulePresentation("principal_z", (), items)
+        return SubmodulePresentation("principal_z", items)
+
+    @staticmethod
+    def from_json(data, module: "ShiftModule") -> "SubmodulePresentation":
+        """Parse a submodule of the plain module `module`."""
+        if "generators" not in data:
+            raise ConfigurationError("submodule is missing the 'generators' field")
+        closure = data.get("closure")
+        if closure == "coeff_subgroup":
+            return SubmodulePresentation.coeff_subgroup(data["generators"])
+        if closure != "principal_z":
+            raise ConfigurationError(f"unknown closure {closure!r}")
+        torsion = module.coeff.torsion
+        if torsion and data.get("p") not in (None, torsion[0]):
+            raise ConfigurationError("modulus does not match the coefficients")
+        return SubmodulePresentation.principal(
+            module.element(pairs) for pairs in data["generators"])
 
 
 @dataclass(frozen=True)
 class ShiftModule:
-    group: GroupPresentation                 # the acting group
+    """C-valued finitely supported functions on the support group.
+
+    `action` (optional) is a homomorphism from the acting group `group`
+    onto the support group; without it the group acts on itself.
+    `quotient` (optional) holds the generators, as items, of a principal
+    submodule over F_p[t, 1/t]; elements are then kept in normal form
+    modulo that submodule.
+    """
+
+    group: FinAbGroup                        # the acting group
     coeff: FinAbGroup
-    action_target: GroupPresentation | None = None
-    action_matrix: tuple[tuple[int, ...], ...] | None = None
-    quotient: SubmodulePresentation | None = None
+    action: AbHom | None = None
+    quotient: tuple | None = None
 
     def __post_init__(self):
-        if (self.action_target is None) != (self.action_matrix is None):
-            raise ConfigurationError("action homomorphism needs target and matrix")
-        if self.action_matrix is not None:
-            if len(self.action_matrix) != self.group.dim:
-                raise ConfigurationError("action matrix has wrong number of rows")
-            target = self.action_target
-            for row in self.action_matrix:
-                if len(row) != target.dim:
-                    raise ConfigurationError("action matrix row length mismatch")
-            d = self.group.dim - len(self.group.torsion)
-            for i, t in enumerate(self.group.torsion):
-                scaled = tuple(t * x for x in self.action_matrix[d + i])
-                if any(target.reduce(scaled)):
-                    raise ConfigurationError("action matrix is not a homomorphism")
-        if self.quotient is not None and self.quotient.closure == "principal_z":
+        if self.action is not None and self.action.source != self.group:
+            raise ConfigurationError("the action must start at the acting group")
+        if self.quotient is not None:
             support = self.support_group
             if support.free_rank != 1 or support.torsion:
                 raise ConfigurationError(
@@ -177,15 +123,15 @@ class ShiftModule:
             self._staircase  # force validation (prime modulus, generators)
 
     @property
-    def support_group(self) -> GroupPresentation:
-        return self.action_target if self.action_target is not None else self.group
+    def support_group(self) -> FinAbGroup:
+        return self.action.target if self.action is not None else self.group
 
     @cached_property
     def _staircase(self) -> StaircaseBasis:
         p = self.coeff.torsion[0] if self.coeff.torsion else 0
         k = len(self.coeff.torsion)
         vectors = []
-        for items in self.quotient.element_generators:
+        for items in self.quotient:
             support = {}
             for gcoords, ccoords in items:
                 for pos in range(k):
@@ -204,14 +150,12 @@ class ShiftModule:
     # -- elements -------------------------------------------------------
 
     def element(self, pairs) -> "GRElement":
+        support_group, coeff = self.support_group, self.coeff
         support = {}
         for gcoords, ccoords in pairs:
-            g = self.support_group.reduce(tuple(gcoords))
-            c = self.coeff.reduce(tuple(ccoords))
-            if g in support:
-                support[g] = self.coeff._add_items(support[g], c)
-            else:
-                support[g] = c
+            g = support_group.element(gcoords).coords
+            c = coeff.element(ccoords).coords
+            support[g] = coeff._add_items(support[g], c) if g in support else c
         items = tuple(sorted((g, c) for g, c in support.items() if any(c)))
         return GRElement(self, self._canonical(items))
 
@@ -221,11 +165,11 @@ class ShiftModule:
     def delta(self, ccoords, at=None) -> "GRElement":
         """The function with one coefficient at one point (default identity)."""
         if at is None:
-            at = (0,) * self.support_group.dim
+            at = self.support_group.zero().coords
         return self.element([(at, ccoords)])
 
     def _canonical(self, items):
-        if self.quotient is None or self.quotient.closure != "principal_z":
+        if self.quotient is None:
             return items
         k = len(self.coeff.torsion)
         support = {}
@@ -285,29 +229,23 @@ class ShiftModule:
         return self._canonical(tuple(out))
 
     def _translate_item(self, shift_coords, x):
-        add = self.support_group.add_coords
+        add = self.support_group._add_items
         return self._canonical(
             tuple(sorted((add(g, shift_coords), c) for g, c in x)))
 
     def _element_of_item(self, item) -> "GRElement":
         return GRElement(self, item)
 
-    def action_shift(self, s: GroupElem) -> tuple[int, ...]:
+    def action_shift(self, s: AbElement) -> tuple[int, ...]:
         """Support translation realized by an acting group element."""
         if s.group != self.group:
             raise DomainError("element not in the acting group")
-        if self.action_matrix is None:
-            return s.coords
-        target = self.support_group
-        vec = [sum(s.coords[i] * self.action_matrix[i][j]
-                   for i in range(self.group.dim))
-               for j in range(target.dim)]
-        return target.reduce(vec)
+        return s.coords if self.action is None else self.action(s).coords
 
     # -- global structure -------------------------------------------------
 
     def cardinality(self) -> int | float:
-        if self.quotient is not None and self.quotient.closure == "principal_z":
+        if self.quotient is not None:
             if self._staircase.is_finite_quotient:
                 return self._staircase.residue_count()
             return INFINITE
@@ -318,56 +256,41 @@ class ShiftModule:
         return coeff_card ** support_card
 
     def to_json(self):
-        out = {"group": self.group.to_json(),
-               "coeff": {"free_rank": self.coeff.free_rank,
-                         "torsion": list(self.coeff.torsion)}}
-        if self.action_matrix is not None:
-            out["action_target"] = self.action_target.to_json()
-            out["action_hom"] = [list(r) for r in self.action_matrix]
+        out = {"group": self.group.to_json(), "coeff": self.coeff.to_json()}
+        if self.action is not None:
+            out["action_target"] = self.action.target.to_json()
+            out["action_hom"] = [list(r) for r in self.action.matrix]
         if self.quotient is not None:
-            if self.quotient.closure == "coeff_subgroup":
-                out["quotient"] = {
-                    "closure": "coeff_subgroup",
-                    "generators": [list(g) for g in self.quotient.coeff_generators],
-                }
-            else:
-                out["quotient"] = {
-                    "closure": "principal_z",
-                    "p": self.coeff.torsion[0],
-                    "generators": [
-                        [[list(g), list(c)] for g, c in items]
-                        for items in self.quotient.element_generators
-                    ],
-                }
+            out["quotient"] = {
+                "closure": "principal_z",
+                "p": self.coeff.torsion[0],
+                "generators": [[[list(g), list(c)] for g, c in items]
+                               for items in self.quotient],
+            }
         return out
 
     @staticmethod
     def from_json(data) -> "ShiftModule":
-        group = GroupPresentation.from_json(data["group"])
-        coeff = FinAbGroup(tuple(data["coeff"].get("torsion", ())),
-                           data["coeff"].get("free_rank", 0))
-        target = matrix = None
-        if "action_hom" in data:
-            target = GroupPresentation.from_json(data["action_target"])
-            matrix = tuple(tuple(r) for r in data["action_hom"])
-        quotient = None
-        qdata = data.get("quotient")
-        if qdata is not None:
-            if qdata["closure"] == "coeff_subgroup":
-                quotient = SubmodulePresentation.coeff_subgroup(qdata["generators"])
-            elif qdata["closure"] == "principal_z":
-                if coeff.torsion and qdata.get("p") not in (None, coeff.torsion[0]):
-                    raise ConfigurationError("modulus does not match the coefficients")
-                gens = [tuple((tuple(g), tuple(c)) for g, c in items)
-                        for items in qdata["generators"]]
-                quotient = SubmodulePresentation("principal_z", (), tuple(gens))
-            else:
-                raise ConfigurationError(f"unknown closure {qdata['closure']!r}")
-        return ShiftModule(group, coeff, target, matrix, quotient)
+        group = FinAbGroup.from_json(data["group"])
+        coeff = FinAbGroup.from_json(data["coeff"])
+        action = None
+        if "action_target" in data or "action_hom" in data:
+            if "action_target" not in data or "action_hom" not in data:
+                raise ConfigurationError("an action needs action_target and action_hom")
+            action = AbHom.from_rows(
+                group, FinAbGroup.from_json(data["action_target"]), data["action_hom"])
+        plain = ShiftModule(group, coeff, action)
+        if data.get("quotient") is None:
+            return plain
+        sub = SubmodulePresentation.from_json(data["quotient"], plain)
+        if sub.closure != "principal_z":
+            raise ConfigurationError(
+                f"a module quotient must be principal_z, not {sub.closure!r}")
+        return ShiftModule(group, coeff, action, sub.generators)
 
     def elements(self):
         """Enumerate a finite module."""
-        if self.quotient is not None and self.quotient.closure == "principal_z":
+        if self.quotient is not None:
             k = len(self.coeff.torsion)
             for residue in self._staircase.enumerate_residues():
                 by_point: dict[tuple, list] = {}
@@ -416,7 +339,7 @@ class GRElement:
     def is_zero(self):
         return not self.items
 
-    def translate(self, s: GroupElem) -> "GRElement":
+    def translate(self, s: AbElement) -> "GRElement":
         shift = self.module.action_shift(s)
         return GRElement(self.module, self.module._translate_item(shift, self.items))
 
@@ -424,7 +347,7 @@ class GRElement:
         return tuple(g for g, _ in self.items)
 
 
-def gr_translate(s: GroupElem, a: FiniteSubset) -> FiniteSubset:
+def gr_translate(s: AbElement, a: FiniteSubset) -> FiniteSubset:
     """The translated set {s.x : x in a}; same size as a."""
     module = a.ambient
     shift = module.action_shift(s)
@@ -447,11 +370,11 @@ def orbit_sum(a: FiniteSubset, folner_set) -> FiniteSubset:
 
 def submodule_normal_form(m: ShiftModule, x: GRElement) -> GRElement:
     """Canonical representative of x modulo the presented submodule."""
-    if m.quotient is None or m.quotient.closure != "principal_z":
+    if m.quotient is None:
         raise ConfigurationError("module carries no principal submodule presentation")
     if x.module == m:
         return x
-    plain = ShiftModule(m.group, m.coeff, m.action_target, m.action_matrix)
+    plain = ShiftModule(m.group, m.coeff, m.action)
     if x.module != plain:
         raise DomainError("element does not live over the same group and coefficients")
     return m.element([(g, c) for g, c in x.items])
@@ -467,7 +390,7 @@ def coeff_quotient(m: ShiftModule, d_generators):
         raise ConfigurationError("module already carries a quotient structure")
     gens = [m.coeff.element(c) for c in d_generators]
     quot, proj = quotient_group(m.coeff, gens)
-    target = ShiftModule(m.group, quot, m.action_target, m.action_matrix)
+    target = ShiftModule(m.group, quot, m.action)
 
     def project(x: GRElement) -> GRElement:
         if x.module != m:
@@ -476,11 +399,6 @@ def coeff_quotient(m: ShiftModule, d_generators):
             [(g, proj(m.coeff._element_of_item(c)).coords) for g, c in x.items])
 
     return target, project
-
-
-def project_subset(project, a: FiniteSubset) -> FiniteSubset:
-    elems = [project(x) for x in a]
-    return FiniteSubset.of(elems[0].module, elems)
 
 
 def embed_subset(a: FiniteSubset):
@@ -493,7 +411,7 @@ def embed_subset(a: FiniteSubset):
     module-side set.
     """
     module = a.ambient
-    if module.quotient is not None and module.quotient.closure == "principal_z":
+    if module.quotient is not None:
         stair = module._staircase
         if not stair.is_finite_quotient:
             raise ConfigurationError("embedding needs a finite quotient")
@@ -518,7 +436,7 @@ def embed_subset(a: FiniteSubset):
 
     points = sorted({g for x in a for g, _ in x.items})
     if not points:
-        points = [(0,) * module.support_group.dim]
+        points = [module.support_group.zero().coords]
     ambient, embeddings = direct_sum_many([module.coeff] * len(points))
     index = {pt: i for i, pt in enumerate(points)}
     elems = []

@@ -28,15 +28,15 @@ above, or the per-row integer-rank rule of certified_scalar_counter).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iproduct
 
 from .errors import ConfigurationError, DomainError, SetSizeLimitError
-from .finabelian import INFINITE
+from .finabelian import INFINITE, AbElement, FinAbGroup
 from .groupring import (
     GRElement,
-    GroupElem,
-    GroupPresentation,
     ShiftModule,
     SubmodulePresentation,
     coeff_quotient,
@@ -66,7 +66,7 @@ DEFAULT_N_MAX_BUDGET = 4096  # coefficient_card ** n_max stays near this
 
 @dataclass(frozen=True)
 class InvarianceParams:
-    k_set: tuple[GroupElem, ...]
+    k_set: tuple[AbElement, ...]
     delta: Fraction
 
     def __post_init__(self):
@@ -98,34 +98,28 @@ def is_invariant(folner_set, params: InvarianceParams) -> InvarianceCheck:
 class FolnerBoxes:
     """Boxes [0,n)^d times the full finite part of the acting group."""
 
-    group: GroupPresentation
+    group: FinAbGroup
     n_max: int
 
     def __post_init__(self):
         if self.n_max < 1:
             raise DomainError("n_max must be at least 1")
 
-    def box(self, n: int) -> list[GroupElem]:
-        from itertools import product as iproduct
-
-        d = self.group.free_rank
-        out = []
-        for free in iproduct(range(n), repeat=d):
-            for tail in self.group.torsion_part():
-                out.append(self.group.element(free + tail))
-        return out
+    def box(self, n: int) -> list[AbElement]:
+        g = self.group
+        torsion_part = list(iproduct(*(range(t) for t in g.torsion)))
+        return [g.element(tail + free)
+                for free in iproduct(range(n), repeat=g.free_rank)
+                for tail in torsion_part]
 
     def size(self, n: int) -> int:
-        card = 1
-        for t in self.group.torsion:
-            card *= t
-        return n ** self.group.free_rank * card
+        return n ** self.group.free_rank * math.prod(self.group.torsion)
 
     def to_json(self):
         return {"kind": "boxes", "n_max": self.n_max}
 
     @staticmethod
-    def from_json(group: GroupPresentation, data) -> "FolnerBoxes":
+    def from_json(group: FinAbGroup, data) -> "FolnerBoxes":
         if data.get("kind", "boxes") != "boxes":
             raise ConfigurationError(f"unknown Folner kind {data.get('kind')!r}")
         return FolnerBoxes(group, data["n_max"])
@@ -216,7 +210,7 @@ def product_structure_value(module: ShiftModule, a: FiniteSubset,
         a prime field with torsion-free support: the group ring is then
         a domain and distinct scalar combinations stay distinct.
     """
-    if module.action_matrix is not None or module.quotient is not None:
+    if module.action is not None or module.quotient is not None:
         return None
     if _single_point_witness(a) or _scalar_multiples_witness(module, a):
         return eval_module_subset(spec, a)
@@ -381,9 +375,9 @@ def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
                         fekete_ok = False
     doubling_ok = None
     if strongly_subadditive:
-        doubling_ok = all(
-            ratio_le(values_ratio(rows, 2 * n), values_ratio(rows, n))
-            for n in values if 2 * n in values)
+        ratio_at = {r.n: r.ratio for r in rows}
+        doubling_ok = all(ratio_le(ratio_at[2 * n], ratio_at[n])
+                          for n in ratio_at if 2 * n in ratio_at)
 
     limit = _limit_certificate(module, structural, ratios[0], constant_exact)
     return MeanEstimate(
@@ -393,13 +387,6 @@ def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
         strongly_subadditive=strongly_subadditive, truncated_at=truncated_at,
         fekete_checked=fekete_checked, fekete_ok=fekete_ok,
         doubling_ok=doubling_ok, limit=limit)
-
-
-def values_ratio(rows, n):
-    for r in rows:
-        if r.n == n:
-            return r.ratio
-    raise KeyError(n)
 
 
 def _limit_certificate(module, structural, first_ratio, constant_exact) -> CertificateInfo:
@@ -509,15 +496,9 @@ def quotient_module_of(m2: ShiftModule, n1: SubmodulePresentation):
     if m2.quotient is not None:
         raise ConfigurationError("total module must be a plain shift module")
     if n1.closure == "coeff_subgroup":
-        return coeff_quotient(m2, [list(g) for g in n1.coeff_generators])
-    quot = ShiftModule(m2.group, m2.coeff, m2.action_target, m2.action_matrix,
-                       quotient=n1)
+        return coeff_quotient(m2, n1.generators)
+    quot = ShiftModule(m2.group, m2.coeff, m2.action, quotient=n1.generators)
     return quot, lambda x: submodule_normal_form(quot, x)
-
-
-def submodule_contains(m2: ShiftModule, n1: SubmodulePresentation, x: GRElement) -> bool:
-    _, project = quotient_module_of(m2, n1)
-    return project(x).is_zero()
 
 
 def addition_report(m2: ShiftModule, n1: SubmodulePresentation,

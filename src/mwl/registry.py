@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .finabelian import FinAbGroup
-from .groupring import GroupPresentation, ShiftModule, SubmodulePresentation
+from .finabelian import AbHom, FinAbGroup
+from .groupring import ShiftModule, SubmodulePresentation
 from .meanlen import (
     FolnerBoxes,
     addition_report,
@@ -24,8 +24,8 @@ from .subsets import FiniteSubset
 from .values import MeanRatio, ratio_eq, ratio_le
 from .weaklength import LOG_CARD, WeakLengthSpec, tors_log
 
-Z = GroupPresentation(free_rank=1)
-Z2 = GroupPresentation(free_rank=2)
+Z = FinAbGroup.free(1)
+Z2 = FinAbGroup.free(2)
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def _example_quotient_action(n_max: int) -> ExampleReport:
     # mod-2 coefficients on the coset line of Z^2 -> Z: support grows
     # along one axis only, so counts are 2^n against box size n^2
     module = ShiftModule(Z2, FinAbGroup.of(2),
-                         action_target=Z, action_matrix=((1,), (0,)))
+                         action=AbHom.from_rows(Z2, Z, [[1], [0]]))
     seq = FolnerBoxes(Z2, n_max)
     witness = FiniteSubset.of(module, [module.zero(), module.delta([1])])
     est = ratio_sequence(module, witness, LOG_CARD, seq)

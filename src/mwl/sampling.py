@@ -18,6 +18,8 @@ elements so that every checked inequality can be evaluated exactly.
 
 from __future__ import annotations
 
+import math
+
 from .finabelian import AbHom, FinAbGroup, hom_kernel, torsion_k
 from .subsets import FiniteSubset
 
@@ -60,15 +62,8 @@ class XorShift64Star:
 
 
 def random_finite_group(rng: XorShift64Star, max_order: int = MAX_GROUP_ORDER) -> FinAbGroup:
-    shapes = [s for s in _GROUP_SHAPES if _order(s) <= max_order]
+    shapes = [s for s in _GROUP_SHAPES if math.prod(s) <= max_order]
     return FinAbGroup.of(*rng.choice(shapes))
-
-
-def _order(shape):
-    n = 1
-    for t in shape:
-        n *= t
-    return n
 
 
 def random_element(rng, group: FinAbGroup):
@@ -104,16 +99,10 @@ def random_hom(rng, source: FinAbGroup, target: FinAbGroup) -> AbHom:
     for t in source.torsion:
         row = []
         for tj in target.torsion:
-            g = _gcd(t, tj)
+            g = math.gcd(t, tj)
             row.append((tj // g) * rng.below(g))
         rows.append(row)
     return AbHom.from_rows(source, target, rows)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def random_automorphism(rng, group: FinAbGroup, tries: int = 48) -> AbHom:

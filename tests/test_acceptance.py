@@ -13,8 +13,8 @@ import pytest
 
 from mwl.bivariant import COVER_LOG, check_upgrading_proper, cover_bivariant
 from mwl.cli import run
-from mwl.finabelian import FinAbGroup, quotient_group
-from mwl.groupring import GroupPresentation, ShiftModule, SubmodulePresentation
+from mwl.finabelian import AbHom, FinAbGroup, quotient_group
+from mwl.groupring import ShiftModule, SubmodulePresentation
 from mwl.meanlen import (
     FolnerBoxes,
     InvarianceParams,
@@ -29,8 +29,8 @@ from mwl.values import MeanRatio, ratio_eq, ratio_le, value_add, value_le
 from mwl.weaklength import GEN, LOG_CARD, NU, RANK, check_axiom, tors_log
 
 SEED = 20260810
-Z = GroupPresentation(free_rank=1)
-Z2 = GroupPresentation(free_rank=2)
+Z = FinAbGroup.free(1)
+Z2 = FinAbGroup.free(2)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -216,7 +216,7 @@ def test_criterion_11_quotient_action_zero():
     with criterion(11, "action through a quotient line: counts 2^n on n^2 "
                        "boxes, ratio <= log(2)/10 at n = 10"):
         module = ShiftModule(Z2, FinAbGroup.of(2),
-                             action_target=Z, action_matrix=((1,), (0,)))
+                             action=AbHom.from_rows(Z2, Z, [[1], [0]]))
         witness = FiniteSubset.of(module, [module.zero(), module.delta([1])])
         est = ratio_sequence(module, witness, LOG_CARD, FolnerBoxes(Z2, 10))
         assert [r.value.count for r in est.rows] == [2 ** n for n in range(1, 11)]

@@ -176,10 +176,72 @@ def test_determinism_across_processes():
     assert outs[0] == outs[1]
 
 
-def test_mwl_threads_validation(capsys, monkeypatch):
-    monkeypatch.setenv("MWL_THREADS", "zero")
-    code = run(["list-examples"])
-    assert code == 1
-    capsys.readouterr()
-    monkeypatch.setenv("MWL_THREADS", "2")
-    assert run(["list-examples"]) == 0
+
+def write_scenario(tmp_path, scenario) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+def c4_mean_scenario(witness, **module):
+    return {"module": {"group": {"free_rank": 1, "torsion": []},
+                       "coeff": {"free_rank": 0, "torsion": [4]}, **module},
+            "weak_length": {"kind": "log_card"}, "witness": witness,
+            "folner": {"kind": "boxes", "n_max": 6}}
+
+
+def test_mean_coeff_subgroup_quotient(capsys, tmp_path):
+    # C4 modulo <2>: witness coefficients are given in C4 and read in C2
+    full = [[]] + [[[[0], [c]]] for c in (1, 2, 3)]
+    scenario = c4_mean_scenario(
+        full, quotient={"closure": "coeff_subgroup", "generators": [[2]]})
+    code, out = invoke(capsys, "mean", "--scenario", write_scenario(tmp_path, scenario),
+                       "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert [r["count_or_value"]["count"] for r in result["rows"]] == [2 ** n for n in range(1, 7)]
+    assert result["limit"]["exact"]
+    assert result["limit"]["ratio"] == {"kind": "log", "ratio_num": 2, "ratio_den": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["biv-check", "--budget", "0"],
+    ["wl-axioms", "--scenario", str(SCENARIOS / "gen-product.json"), "--budget", "0"],
+    ["mean", "--scenario", str(SCENARIOS / "z2-shift.json"), "--n-max", "0"],
+    ["addition", "--scenario", str(SCENARIOS / "addition-z4.json"), "--n-max", "-1"],
+])
+def test_counts_below_one_exit_1(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "positive integer" in captured.err
+
+
+@pytest.mark.parametrize("witness", [
+    [[[[0], [1, 5]]]],     # two coefficient coordinates in C4
+    [[[[0, 0], [1]]]],     # two support coordinates in Z
+])
+def test_witness_coordinate_length_exits_1(capsys, tmp_path, witness):
+    code = run(["mean", "--scenario", write_scenario(tmp_path, c4_mean_scenario(witness))])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "coordinate length" in err
+
+
+def test_module_group_must_be_divisibility_chain(capsys, tmp_path):
+    scenario = c4_mean_scenario([[]])
+    scenario["module"]["group"] = {"free_rank": 0, "torsion": [3, 2]}
+    code = run(["mean", "--scenario", write_scenario(tmp_path, scenario)])
+    err = capsys.readouterr().err
+    assert code == 1 and "divisibility chain" in err
+
+
+@pytest.mark.parametrize("quotient", [
+    {"closure": "coeff_subgroup", "generators": [[1]]},
+    {"closure": "principal_z", "p": 2, "generators": [[[[0], [1]], [[1], [1]]]]},
+])
+def test_addition_rejects_total_module_with_quotient(capsys, tmp_path, quotient):
+    scenario = json.loads((SCENARIOS / "addition-principal.json").read_text())
+    scenario["module"]["quotient"] = quotient
+    code = run(["addition", "--scenario", write_scenario(tmp_path, scenario)])
+    err = capsys.readouterr().err
+    assert code == 1 and "plain shift module" in err

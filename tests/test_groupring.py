@@ -1,11 +1,9 @@
 import pytest
 
 from mwl.errors import ConfigurationError, DomainError, SetSizeLimitError
-from mwl.finabelian import FinAbGroup
+from mwl.finabelian import AbHom, FinAbGroup
 from mwl.groupring import (
-    GroupPresentation,
     ShiftModule,
-    SubmodulePresentation,
     coeff_quotient,
     embed_subset,
     gr_translate,
@@ -17,7 +15,7 @@ from mwl.subsets import FiniteSubset, minkowski_sum
 from mwl.values import LengthValue, value_add, value_cmp
 from mwl.weaklength import LOG_CARD, NU, RANK, eval_weak_length
 
-Z = GroupPresentation(free_rank=1)
+Z = FinAbGroup.free(1)
 
 
 def shift_module(*coeff_factors):
@@ -39,16 +37,23 @@ def test_delta_and_equality():
 def test_translate_examples():
     m = ShiftModule(Z, FinAbGroup.free(1))
     a = subset(m, [m.delta([1])])
-    assert gr_translate(Z.identity(), a).items == a.items
+    assert gr_translate(Z.zero(), a).items == a.items
     moved = gr_translate(Z.element([1]), a)
     assert list(moved)[0] == m.delta([1], at=(1,))
 
 
+def test_mixed_acting_group_coordinates_are_torsion_first():
+    gamma = FinAbGroup((2,), 1)  # C2 x Z
+    m = ShiftModule(gamma, FinAbGroup.of(2))
+    x = m.delta([1], at=(3, 7))
+    assert x.support() == ((1, 7),)
+    assert x.translate(gamma.element([1, -7])) == m.delta([1])
+
+
 def test_translate_through_quotient_action():
     # Z^2 acting through the projection onto its first coordinate
-    z2 = GroupPresentation(free_rank=2)
-    m = ShiftModule(z2, FinAbGroup.free(1),
-                    action_target=Z, action_matrix=((1,), (0,)))
+    z2 = FinAbGroup.free(2)
+    m = ShiftModule(z2, FinAbGroup.free(1), action=AbHom.from_rows(z2, Z, [[1], [0]]))
     a = subset(m, [m.zero(), m.delta([1])])
     kernel_shift = gr_translate(z2.element([0, 5]), a)
     assert kernel_shift.items == a.items
@@ -78,7 +83,7 @@ def test_module_mismatch_rejected():
 def test_orbit_sum_identity_window():
     m = shift_module(2)
     a = subset(m, [m.zero(), m.delta([1])])
-    assert orbit_sum(a, [Z.identity()]).items == a.items
+    assert orbit_sum(a, [Z.zero()]).items == a.items
 
 
 def test_orbit_sum_full_shift_window():
@@ -149,9 +154,8 @@ def test_strong_subadditivity_for_symmetric_rank_sets():
 def test_submodule_normal_form_principal():
     # N = <1 + t> over Z/2: 1 + t^2 = (1+t)^2 reduces to zero
     plain = shift_module(2)
-    n = SubmodulePresentation.principal(
-        [plain.element([((0,), (1,)), ((1,), (1,))])])
-    m = ShiftModule(Z, FinAbGroup.of(2), quotient=n)
+    n = plain.element([((0,), (1,)), ((1,), (1,))])
+    m = ShiftModule(Z, FinAbGroup.of(2), quotient=(n.items,))
     x = plain.element([((0,), (1,)), ((2,), (1,))])
     assert submodule_normal_form(m, x).is_zero()
     assert submodule_normal_form(m, plain.zero()).is_zero()
@@ -161,7 +165,7 @@ def test_principal_quotient_residues():
     # N = <1 + t + t^3> over Z/2: exactly 8 normal forms, degree < 3
     plain = shift_module(2)
     f = plain.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    m = ShiftModule(Z, FinAbGroup.of(2), quotient=SubmodulePresentation.principal([f]))
+    m = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))
     assert m.cardinality() == 8
     residues = {x.items for x in m.elements()}
     assert len(residues) == 8
@@ -177,7 +181,7 @@ def test_principal_quotient_residues():
 def test_normal_form_soundness_random():
     plain = shift_module(2)
     f = plain.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    m = ShiftModule(Z, FinAbGroup.of(2), quotient=SubmodulePresentation.principal([f]))
+    m = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))
     rng = XorShift64Star(2718)
 
     def random_elem():
@@ -198,14 +202,11 @@ def test_normal_form_configuration_errors():
         submodule_normal_form(plain, plain.zero())
     with pytest.raises(ConfigurationError):
         # composite modulus
-        bad = ShiftModule(Z, FinAbGroup.of(4),
-                          quotient=SubmodulePresentation.principal(
-                              [(((0,), (2,)),)]))
+        bad = ShiftModule(Z, FinAbGroup.of(4), quotient=((((0,), (2,)),),))
         bad.cardinality()
     with pytest.raises(ConfigurationError):
         # torsion support group
-        ShiftModule(GroupPresentation(0, (4,)), FinAbGroup.of(2),
-                    quotient=SubmodulePresentation.principal([(((0,), (1,)),)]))
+        ShiftModule(FinAbGroup.of(4), FinAbGroup.of(2), quotient=((((0,), (1,)),),))
 
 
 def test_coeff_quotient():
@@ -252,11 +253,14 @@ def test_module_json_round_trip():
     f = plain.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
     modules = [
         shift_module(4),
-        ShiftModule(GroupPresentation(2), FinAbGroup.free(1),
-                    action_target=Z, action_matrix=((1,), (0,))),
-        ShiftModule(Z, FinAbGroup.of(2), quotient=SubmodulePresentation.principal([f])),
-        ShiftModule(Z, FinAbGroup.of(4),
-                    quotient=SubmodulePresentation.coeff_subgroup([[2]])),
+        ShiftModule(FinAbGroup.free(2), FinAbGroup.free(1),
+                    action=AbHom.from_rows(FinAbGroup.free(2), Z, [[1], [0]])),
+        ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,)),
     ]
     for m in modules:
         assert ShiftModule.from_json(m.to_json()) == m
+    # a coefficient-subgroup quotient is not a module quotient
+    data = shift_module(4).to_json()
+    data["quotient"] = {"closure": "coeff_subgroup", "generators": [[2]]}
+    with pytest.raises(ConfigurationError):
+        ShiftModule.from_json(data)

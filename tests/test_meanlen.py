@@ -4,7 +4,7 @@ import pytest
 
 from mwl.errors import DomainError
 from mwl.finabelian import FinAbGroup
-from mwl.groupring import GroupPresentation, ShiftModule, SubmodulePresentation
+from mwl.groupring import ShiftModule, SubmodulePresentation
 from mwl.meanlen import (
     FolnerBoxes,
     InvarianceParams,
@@ -20,7 +20,7 @@ from mwl.subsets import FiniteSubset
 from mwl.values import MeanRatio, ratio_eq, ratio_le
 from mwl.weaklength import LOG_CARD, RANK, tors_log
 
-Z = GroupPresentation(free_rank=1)
+Z = FinAbGroup.free(1)
 
 
 def interval(n):
@@ -38,10 +38,12 @@ def test_is_invariant_worked_counts():
 
 
 def test_boxes_cover_finite_part():
-    gamma = GroupPresentation(free_rank=1, torsion=(2,))
+    gamma = FinAbGroup((2,), 1)
     seq = FolnerBoxes(gamma, 3)
     assert seq.size(3) == 6
     assert len(seq.box(3)) == 6
+    # torsion coordinates come first
+    assert {s.coords for s in seq.box(3)} == {(t, f) for t in range(2) for f in range(3)}
 
 
 def test_full_shift_ratio_table():
@@ -73,8 +75,7 @@ def test_constant_prefix_is_not_claimed_exact():
     # n <= 3; the limit must not be certified from that prefix
     m2 = ShiftModule(Z, FinAbGroup.of(2))
     f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    quot = ShiftModule(Z, FinAbGroup.of(2),
-                       quotient=SubmodulePresentation.principal([f]))
+    quot = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))
     witness = FiniteSubset.of(quot, [quot.zero(), quot.delta([1])])
     est = ratio_sequence(quot, witness, LOG_CARD, FolnerBoxes(Z, 3))
     assert est.constant_exact  # the prefix does look constant
