@@ -185,19 +185,31 @@ def _cmd_biv_check(args):
     return (0 if report.passed else 2), {"result": report.to_json()}, table
 
 
+def _require_object(scenario, key):
+    value = _require(scenario, key)
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
 def _mean_inputs(scenario, args, module):
     spec = WeakLengthSpec.from_json(_require(scenario, "weak_length"))
-    folner = scenario.get("folner", {"kind": "boxes"})
+    folner = scenario.get("folner", {})
+    if not isinstance(folner, dict):
+        raise ConfigurationError(f"folner must be a JSON object, got {folner!r}")
+    kind = folner.get("kind", "boxes")
+    if kind != "boxes":
+        raise ConfigurationError(f"unknown folner kind {kind!r}; only 'boxes' is supported")
     n_max = _option(args, "n_max", folner, default_n_max(module))
     return spec, FolnerBoxes(module.group, n_max)
 
 
 def _cmd_mean(args):
     scenario = _load_scenario(args.scenario)
-    data = _require(scenario, "module")
-    quotient = data.get("quotient") or {}
+    data = _require_object(scenario, "module")
+    quotient = data.get("quotient")
     read = None
-    if quotient.get("closure") == "coeff_subgroup":
+    if isinstance(quotient, dict) and quotient.get("closure") == "coeff_subgroup":
         # the module over C/D; witness coefficients are given in C
         plain = ShiftModule.from_json({k: v for k, v in data.items() if k != "quotient"})
         module, project = coeff_quotient(plain, _require(quotient, "generators"))
@@ -214,7 +226,7 @@ def _cmd_mean(args):
 
 def _cmd_addition(args):
     scenario = _load_scenario(args.scenario)
-    data = _require(scenario, "module")
+    data = _require_object(scenario, "module")
     if data.get("quotient") is not None:
         raise ConfigurationError("total module must be a plain shift module")
     module = ShiftModule.from_json(data)

@@ -85,7 +85,12 @@ class FinAbGroup:
         return group
 
     def element(self, coords) -> "AbElement":
-        coords = tuple(coords)
+        try:
+            coords = tuple(coords)
+        except TypeError:
+            raise DomainError(f"coordinates must be a list of integers, got {coords!r}") from None
+        if not all(type(x) is int for x in coords):
+            raise DomainError(f"coordinates must be integers, got {list(coords)!r}")
         if len(coords) != self.ambient_dim:
             raise DomainError("coordinate length does not match ambient dimension")
         return AbElement(self, self.reduce(coords))
@@ -135,13 +140,20 @@ class FinAbGroup:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
     @staticmethod
-    def from_json(data) -> "FinAbGroup":
-        """Parse {"free_rank": r, "torsion": [t_1, ...]}; both keys default to empty."""
+    def from_json(data, field: str = "group") -> "FinAbGroup":
+        """Parse {"free_rank": r, "torsion": [t_1, ...]}; both keys default to empty.
+
+        `field` names the scenario field in error messages.
+        """
+        if not isinstance(data, dict):
+            raise DomainError(
+                f"{field} must be an object with free_rank and torsion, got {data!r}")
         free_rank = data.get("free_rank", 0)
-        torsion = tuple(data.get("torsion", ()))
-        if not all(type(x) is int for x in (free_rank, *torsion)):
-            raise DomainError("group orders must be integers")
-        return FinAbGroup(torsion, free_rank)
+        torsion = data.get("torsion", [])
+        if not isinstance(torsion, list) or not all(
+                type(x) is int for x in (free_rank, *torsion)):
+            raise DomainError(f"{field}: group orders must be integers")
+        return FinAbGroup(tuple(torsion), free_rank)
 
 
 @dataclass(frozen=True)
@@ -188,8 +200,7 @@ class AbHom:
             if len(row) != self.target.ambient_dim:
                 raise DomainError("hom matrix row length does not match target")
         for i, t in enumerate(self.source.torsion):
-            image = tuple(t * x for x in self.matrix[i])
-            if not self.target.element(image).is_zero():
+            if any(self.target.reduce(tuple(t * x for x in self.matrix[i]))):
                 raise DomainError("matrix does not define a homomorphism")
 
     @staticmethod
@@ -213,7 +224,7 @@ class AbHom:
             raise DomainError("element not in the source group")
         vec = [sum(elt.coords[i] * self.matrix[i][j] for i in range(len(self.matrix)))
                for j in range(self.target.ambient_dim)]
-        return self.target.element(vec)
+        return AbElement(self.target, self.target.reduce(vec))
 
     def __call__(self, elt: AbElement) -> AbElement:
         return self.apply(elt)

@@ -271,14 +271,21 @@ class ShiftModule:
 
     @staticmethod
     def from_json(data) -> "ShiftModule":
-        group = FinAbGroup.from_json(data["group"])
-        coeff = FinAbGroup.from_json(data["coeff"])
+        for key in ("group", "coeff"):
+            if key not in data:
+                raise ConfigurationError(f"module is missing the {key!r} field")
+        group = FinAbGroup.from_json(data["group"], "module.group")
+        coeff = FinAbGroup.from_json(data["coeff"], "module.coeff")
         action = None
         if "action_target" in data or "action_hom" in data:
             if "action_target" not in data or "action_hom" not in data:
                 raise ConfigurationError("an action needs action_target and action_hom")
+            rows = data["action_hom"]
+            if not isinstance(rows, list) or not all(
+                    isinstance(r, list) and all(type(x) is int for x in r) for r in rows):
+                raise ConfigurationError("action_hom must be a list of rows of integers")
             action = AbHom.from_rows(
-                group, FinAbGroup.from_json(data["action_target"]), data["action_hom"])
+                group, FinAbGroup.from_json(data["action_target"], "module.action_target"), rows)
         plain = ShiftModule(group, coeff, action)
         if data.get("quotient") is None:
             return plain
@@ -355,13 +362,17 @@ def gr_translate(s: AbElement, a: FiniteSubset) -> FiniteSubset:
         module, {module._translate_item(shift, x) for x in a.items})
 
 
-def orbit_sum(a: FiniteSubset, folner_set) -> FiniteSubset:
-    """Minkowski sum of the translates of a by the inverses of the set."""
+def orbit_sum(a: FiniteSubset, folner_set, base: FiniteSubset | None = None) -> FiniteSubset:
+    """Minkowski sum of the translates of a by the inverses of the set, plus base.
+
+    Without base the set must be nonempty.  With base = a^[E] and the set
+    F disjoint from E, the result is a^[E u F], so a nested Folner
+    sequence is summed one shell at a time.
+    """
     folner_set = list(folner_set)
-    if not folner_set:
+    if base is None and not folner_set:
         raise DomainError("orbit sums need a nonempty translate set")
-    module = a.ambient
-    total = None
+    total = base
     for s in folner_set:
         translated = gr_translate(-s, a)
         total = translated if total is None else minkowski_sum(total, translated)

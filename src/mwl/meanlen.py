@@ -46,7 +46,7 @@ from .groupring import (
     submodule_normal_form,
 )
 from .intmat import row_basis
-from .subsets import FiniteSubset, union
+from .subsets import SET_CAP, FiniteSubset, minkowski_sum, union
 from .values import (
     LengthValue,
     MeanRatio,
@@ -112,17 +112,16 @@ class FolnerBoxes:
                 for free in iproduct(range(n), repeat=g.free_rank)
                 for tail in torsion_part]
 
+    def shell(self, n: int) -> list[AbElement]:
+        """F_n minus F_(n-1), with F_0 empty, in box order: the points whose
+        largest free coordinate is n - 1 (none for n >= 2 without free part)."""
+        if n == 1:
+            return self.box(1)
+        inner = set(self.box(n - 1))
+        return [s for s in self.box(n) if s not in inner]
+
     def size(self, n: int) -> int:
         return n ** self.group.free_rank * math.prod(self.group.torsion)
-
-    def to_json(self):
-        return {"kind": "boxes", "n_max": self.n_max}
-
-    @staticmethod
-    def from_json(group: FinAbGroup, data) -> "FolnerBoxes":
-        if data.get("kind", "boxes") != "boxes":
-            raise ConfigurationError(f"unknown Folner kind {data.get('kind')!r}")
-        return FolnerBoxes(group, data["n_max"])
 
 
 def default_n_max(module: ShiftModule) -> int:
@@ -291,20 +290,17 @@ def eval_module_subset(spec: WeakLengthSpec, subset: FiniteSubset) -> LengthValu
     return eval_weak_length(spec, ambient, embedded)
 
 
-def _span_value(spec: WeakLengthSpec, a: FiniteSubset, box) -> LengthValue:
-    # For 0 in A and a length-induced spec, the submodule generated by
-    # the orbit sum equals the one generated by the union of translates,
-    # so the value comes from |F| * |A| generators instead of the full sum.
-    gens = None
-    for s in box:
-        t = gr_translate(-s, a)
-        gens = t if gens is None else union(gens, t)
-    return eval_module_subset(spec, gens)
-
-
 def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
                    seq: FolnerBoxes, count_certifier=None) -> MeanEstimate:
-    """Exact ratio table l(A^[F_n]) / |F_n| for n = 1..n_max."""
+    """Exact ratio table l(A^[F_n]) / |F_n| for n = 1..n_max.
+
+    The boxes are nested, so each row adds the translates over the shell
+    F_n minus F_(n-1) to the previous row's set.  For 0 in A and a
+    length-induced spec the submodule generated by A^[F_n] equals the one
+    generated by the union of the translates, so that union is carried
+    instead of the orbit sum.  |X + Y| >= |X| makes |A^[F_n]| grow with
+    n, so once a row passes SET_CAP no later row is enumerated.
+    """
     if a.ambient != module:
         raise DomainError("witness does not live in the module")
     zero_in_a = a.contains_zero()
@@ -312,42 +308,47 @@ def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
     use_span = spec.length_induced and zero_in_a
     structural = product_structure_value(module, a, spec)
 
-    from .subsets import SET_CAP
-
     rows = []
     values = {}
     truncated_at = None
+    orbit = None  # A^[F_(n-1)], or the union of its translates on the span path
+    capped = False
     for n in range(1, seq.n_max + 1):
-        box = seq.box(n)
         size = seq.size(n)
         expected = None if structural is None else _scaled_value(structural, size)
         certified = None
         if count_certifier is not None and spec.kind == "log_card":
             certified = count_certifier(n)
         if certified is not None and certified > SET_CAP:
-            # provably beyond the enumeration cap; use the certified count
-            value = LengthValue.log_count(certified)
-            method = "certified"
-        else:
+            capped = True
+        if not capped:
             try:
                 if use_span:
-                    value = _span_value(spec, a, box)
+                    for s in seq.shell(n):
+                        t = gr_translate(-s, a)
+                        orbit = t if orbit is None else union(orbit, t)
                 else:
-                    value = eval_module_subset(spec, orbit_sum(a, box))
-                method = "enumerated"
+                    orbit = orbit_sum(a, seq.shell(n), orbit)
+                value = eval_module_subset(spec, orbit)
             except SetSizeLimitError:
-                if certified is not None:
-                    value = LengthValue.log_count(certified)
-                elif expected is not None:
-                    value = expected
-                else:
-                    truncated_at = n
-                    break
-                method = "certified"
-            if method == "enumerated" and certified is not None and certified != value.count:
-                raise ConfigurationError(
-                    f"certified count {certified} disagrees with enumeration "
-                    f"{value.count} at n={n}")
+                capped = True
+            else:
+                if certified is not None and certified != value.count:
+                    raise ConfigurationError(
+                        f"certified count {certified} disagrees with enumeration "
+                        f"{value.count} at n={n}")
+        if capped:
+            orbit = None
+            if certified is not None:
+                value = LengthValue.log_count(certified)
+            elif expected is not None:
+                value = expected
+            else:
+                truncated_at = n
+                break
+            method = "certified"
+        else:
+            method = "enumerated"
         if expected is not None and value_cmp(value, expected) != 0:
             raise ConfigurationError(
                 f"structural value {expected} disagrees with the computed "
@@ -526,19 +527,21 @@ def addition_report(m2: ShiftModule, n1: SubmodulePresentation,
     est_quot = ratio_sequence(quot, pushed, spec, seq)
 
     # easy direction on the combined witness A = B + B1
-    from .subsets import minkowski_sum
-
     combined = minkowski_sum(witness_submodule, witness_quotient_lift)
+    witnesses = (combined, witness_submodule, pushed)
+    orbits = [None] * len(witnesses)
     easy_rows = []
     easy_ok = True
     for n in range(1, seq.n_max + 1):
-        box = seq.box(n)
+        shell = seq.shell(n)
+        vals = []
         try:
-            a_val = eval_module_subset(spec, orbit_sum(combined, box))
-            b_val = eval_module_subset(spec, orbit_sum(witness_submodule, box))
-            c_val = eval_module_subset(spec, orbit_sum(pushed, box))
+            for i, w in enumerate(witnesses):
+                orbits[i] = orbit_sum(w, shell, orbits[i])
+                vals.append(eval_module_subset(spec, orbits[i]))
         except SetSizeLimitError:
             break
+        a_val, b_val, c_val = vals
         parts = value_add(b_val, c_val)
         easy_rows.append((n, a_val, parts))
         if not value_le(parts, a_val):

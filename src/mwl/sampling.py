@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 
-from .finabelian import AbHom, FinAbGroup, hom_kernel, torsion_k
+from .errors import DomainError
+from .finabelian import AbElement, AbHom, FinAbGroup, hom_kernel, torsion_k
 from .subsets import FiniteSubset
 
 MASK64 = (1 << 64) - 1
@@ -67,7 +68,9 @@ def random_finite_group(rng: XorShift64Star, max_order: int = MAX_GROUP_ORDER) -
 
 
 def random_element(rng, group: FinAbGroup):
-    return group.element([rng.below(t) for t in group.torsion])
+    if group.free_rank:
+        raise DomainError("random elements need a finite group")
+    return AbElement(group, tuple(rng.below(t) for t in group.torsion))
 
 
 def random_subset(rng, group: FinAbGroup, max_size: int = MAX_SET_SIZE,

@@ -245,3 +245,48 @@ def test_addition_rejects_total_module_with_quotient(capsys, tmp_path, quotient)
     code = run(["addition", "--scenario", write_scenario(tmp_path, scenario)])
     err = capsys.readouterr().err
     assert code == 1 and "plain shift module" in err
+
+
+def _without_coeff():
+    scenario = c4_mean_scenario([[]])
+    del scenario["module"]["coeff"]
+    return scenario
+
+
+def _z_witness(witness):
+    scenario = c4_mean_scenario(witness)
+    scenario["module"]["coeff"] = {"free_rank": 1, "torsion": []}
+    return scenario
+
+
+def _folner_kind(kind):
+    scenario = json.loads((SCENARIOS / "z2-shift.json").read_text())
+    scenario["folner"]["kind"] = kind
+    return scenario
+
+
+@pytest.mark.parametrize("command, scenario, needle", [
+    ("mean", _without_coeff(), "module is missing the 'coeff' field"),
+    ("wl-eval", {"group": [1], "weak_length": {"kind": "log_card"}, "set": [[0]]},
+     "group must be an object"),
+    ("mean", _z_witness([[], [[["a"], [1]]]]), "coordinates must be integers"),
+    ("mean", _z_witness([[], [[1, [1]]]]), "coordinates must be a list of integers"),
+    ("mean", {**_z_witness([[]]), "module": {**_z_witness([[]])["module"],
+              "action_target": {"free_rank": 1}, "action_hom": [[0.5]]}},
+     "action_hom must be a list of rows of integers"),
+    ("mean", _folner_kind("balls"), "unknown folner kind 'balls'"),
+    ("addition", {**json.loads((SCENARIOS / "addition-z4.json").read_text()),
+                  "folner": {"kind": "balls", "n_max": 4}}, "unknown folner kind"),
+])
+def test_malformed_input_ends_in_one_error_line(tmp_path, command, scenario, needle):
+    # a fresh interpreter, so that a traceback would reach stderr
+    pkg_root = str(Path(mwl.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mwl.cli", command, "--scenario",
+         write_scenario(tmp_path, scenario)],
+        capture_output=True, text=True,
+        env={"PYTHONHASHSEED": "0", "PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert needle in proc.stderr

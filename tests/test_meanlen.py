@@ -131,10 +131,9 @@ def test_certified_counter_extends_table():
 
 
 def test_span_shortcut_agrees_with_materialized_orbits():
-    # for base-pointed witnesses the length-induced values may be taken
-    # from the union of translates; cross-check against the full
-    # Minkowski orbit on seeded random witnesses
-    from mwl.meanlen import _span_value
+    # for base-pointed witnesses the length-induced rows are taken from
+    # the union of translates; cross-check against the full Minkowski
+    # orbit on seeded random witnesses
     from mwl.groupring import orbit_sum
     from mwl.sampling import XorShift64Star
     from mwl.values import value_cmp
@@ -147,12 +146,12 @@ def test_span_shortcut_agrees_with_materialized_orbits():
                   (rng.below(4) - 2,) if coeff.free_rank else (rng.below(4),))
                  for _ in range(rng.below(3) + 1)]
         witness = FiniteSubset.of(m, [m.zero(), m.element(pairs)])
-        box = [Z.element([i]) for i in range(rng.below(4) + 1)]
-        for spec in (RANK, tors_log(2) if coeff.torsion else RANK):
-            if spec.kind == "rank":
-                direct = eval_module_subset(spec, orbit_sum(witness, box))
-                via_span = _span_value(spec, witness, box)
-                assert value_cmp(direct, via_span) == 0
+        seq = FolnerBoxes(Z, rng.below(4) + 1)
+        est = ratio_sequence(m, witness, RANK, seq)
+        assert len(est.rows) == seq.n_max
+        for row in est.rows:
+            direct = eval_module_subset(RANK, orbit_sum(witness, seq.box(row.n)))
+            assert value_cmp(direct, row.value) == 0
 
 
 def test_torsion_mean_of_prime_square_modulus():
