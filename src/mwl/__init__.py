@@ -32,12 +32,11 @@ from .finabelian import (
 from .groupring import (
     GRElement,
     ShiftModule,
-    SubmodulePresentation,
     coeff_quotient,
     embed_subset,
     gr_translate,
     orbit_sum,
-    submodule_normal_form,
+    principal_quotient,
 )
 from .meanlen import (
     FolnerBoxes,

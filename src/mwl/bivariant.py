@@ -71,12 +71,6 @@ class BivariantSpec:
             return {"kind": "cover_log"}
         return {"kind": "quotient_length", "base": self.base.kind}
 
-    @staticmethod
-    def from_json(data) -> "BivariantSpec":
-        if data["kind"] == "cover_log":
-            return BivariantSpec("cover_log")
-        return BivariantSpec("quotient_length", WeakLengthSpec(data["base"]))
-
     def __str__(self):
         return self.kind if self.kind == "cover_log" else f"quotient_length[{self.base}]"
 

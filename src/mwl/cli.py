@@ -19,61 +19,13 @@ import json
 import math
 import sys
 
-from .bivariant import (
-    BivariantSpec,
-    bivariant_eval,
-    check_upgrading_proper,
-    cover_bivariant,
-)
+from . import scenario
+from .bivariant import bivariant_eval, check_upgrading_proper, cover_bivariant
 from .errors import ConfigurationError, DomainError
-from .finabelian import FinAbGroup
-from .groupring import ShiftModule, SubmodulePresentation, coeff_quotient
-from .meanlen import FolnerBoxes, addition_report, default_n_max, ratio_sequence
+from .meanlen import addition_report, ratio_sequence
 from .registry import example_names, run_example
-from .subsets import FiniteSubset
 from .values import render_float
-from .weaklength import AXIOMS, WeakLengthSpec, check_axiom, eval_weak_length
-
-DEFAULT_SEED = 20260810
-DEFAULT_BUDGET = 200
-
-
-def _parse_set(group: FinAbGroup, coords_list) -> FiniteSubset:
-    return FiniteSubset.of(group, [group.element(c) for c in coords_list])
-
-
-def _parse_witness(module: ShiftModule, pairs_list, read=None) -> FiniteSubset:
-    """Witness elements, each read by `read` (default: module.element)."""
-    read = read or module.element
-    return FiniteSubset.of(module, [read(pairs) for pairs in pairs_list])
-
-
-def _load_scenario(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"malformed scenario JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from exc
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read scenario: {exc}") from exc
-
-
-def _require(scenario, key):
-    if key not in scenario:
-        raise ConfigurationError(f"scenario is missing the {key!r} field")
-    return scenario[key]
-
-
-def _option(args, name, scenario, default):
-    """A positive integer: the flag if given, else the scenario's value, else the default."""
-    value = getattr(args, name)
-    if value is None:
-        value = scenario.get(name, default)
-    if type(value) is not int or value < 1:
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-    return value
+from .weaklength import check_axiom, eval_weak_length
 
 
 # -- table rendering ----------------------------------------------------
@@ -119,10 +71,7 @@ def _estimate_table(est_json) -> list[str]:
 
 
 def _cmd_wl_eval(args):
-    scenario = _load_scenario(args.scenario)
-    group = FinAbGroup.from_json(_require(scenario, "group"))
-    spec = WeakLengthSpec.from_json(_require(scenario, "weak_length"))
-    subset = _parse_set(group, _require(scenario, "set"))
+    group, spec, subset = scenario.wl_eval(args.scenario)
     value = eval_weak_length(spec, group, subset)
     report = {"result": {"value": value.to_json(), "group": str(group),
                          "set_size": len(subset), "weak_length": spec.to_json()}}
@@ -132,13 +81,7 @@ def _cmd_wl_eval(args):
 
 
 def _cmd_wl_axioms(args):
-    scenario = _load_scenario(args.scenario)
-    spec = WeakLengthSpec.from_json(_require(scenario, "weak_length"))
-    axioms = scenario.get("axioms", "all")
-    if axioms == "all":
-        axioms = list(AXIOMS)
-    budget = _option(args, "budget", scenario, DEFAULT_BUDGET)
-    seed = args.seed if args.seed is not None else scenario.get("seed", DEFAULT_SEED)
+    spec, axioms, budget, seed = scenario.wl_axioms(args.scenario, args.budget, args.seed)
     reports = [check_axiom(spec, axiom, seed, budget) for axiom in axioms]
     failed = [r for r in reports if not r.passed]
     table_rows = [[r.axiom, "pass" if r.passed else "FAIL", str(r.checked)]
@@ -153,11 +96,7 @@ def _cmd_wl_axioms(args):
 
 
 def _cmd_biv_eval(args):
-    scenario = _load_scenario(args.scenario)
-    group = FinAbGroup.from_json(_require(scenario, "group"))
-    spec = BivariantSpec.from_json(_require(scenario, "bivariant"))
-    a = _parse_set(group, _require(scenario, "a"))
-    b = _parse_set(group, _require(scenario, "b"))
+    group, spec, a, b = scenario.biv_eval(args.scenario)
     result = {"bivariant": spec.to_json(), "group": str(group)}
     if spec.kind == "cover_log":
         value, cover = cover_bivariant(group, a, b)
@@ -173,10 +112,7 @@ def _cmd_biv_eval(args):
 
 
 def _cmd_biv_check(args):
-    scenario = _load_scenario(args.scenario) if args.scenario else {}
-    spec = BivariantSpec.from_json(scenario.get("bivariant", {"kind": "cover_log"}))
-    budget = _option(args, "budget", scenario, 100)
-    seed = args.seed if args.seed is not None else scenario.get("seed", DEFAULT_SEED)
+    spec, budget, seed = scenario.biv_check(args.scenario, args.budget, args.seed)
     report = check_upgrading_proper(spec, seed, budget)
     table = [f"proper-upgrading laws for {spec}: "
              f"{'pass' if report.passed else 'FAIL'} on {report.checked} instances"]
@@ -185,58 +121,13 @@ def _cmd_biv_check(args):
     return (0 if report.passed else 2), {"result": report.to_json()}, table
 
 
-def _require_object(scenario, key):
-    value = _require(scenario, key)
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
-    return value
-
-
-def _mean_inputs(scenario, args, module):
-    spec = WeakLengthSpec.from_json(_require(scenario, "weak_length"))
-    folner = scenario.get("folner", {})
-    if not isinstance(folner, dict):
-        raise ConfigurationError(f"folner must be a JSON object, got {folner!r}")
-    kind = folner.get("kind", "boxes")
-    if kind != "boxes":
-        raise ConfigurationError(f"unknown folner kind {kind!r}; only 'boxes' is supported")
-    n_max = _option(args, "n_max", folner, default_n_max(module))
-    return spec, FolnerBoxes(module.group, n_max)
-
-
 def _cmd_mean(args):
-    scenario = _load_scenario(args.scenario)
-    data = _require_object(scenario, "module")
-    quotient = data.get("quotient")
-    read = None
-    if isinstance(quotient, dict) and quotient.get("closure") == "coeff_subgroup":
-        # the module over C/D; witness coefficients are given in C
-        plain = ShiftModule.from_json({k: v for k, v in data.items() if k != "quotient"})
-        module, project = coeff_quotient(plain, _require(quotient, "generators"))
-
-        def read(pairs):
-            return project(plain.element(pairs))
-    else:
-        module = ShiftModule.from_json(data)
-    spec, seq = _mean_inputs(scenario, args, module)
-    witness = _parse_witness(module, _require(scenario, "witness"), read)
-    est = ratio_sequence(module, witness, spec, seq)
+    est = ratio_sequence(*scenario.mean(args.scenario, args.n_max))
     return 0, {"result": est.to_json()}, _estimate_table(est.to_json())
 
 
 def _cmd_addition(args):
-    scenario = _load_scenario(args.scenario)
-    data = _require_object(scenario, "module")
-    if data.get("quotient") is not None:
-        raise ConfigurationError("total module must be a plain shift module")
-    module = ShiftModule.from_json(data)
-    spec, seq = _mean_inputs(scenario, args, module)
-    submodule = SubmodulePresentation.from_json(_require(scenario, "submodule"), module)
-    witnesses = _require(scenario, "witnesses")
-    w_sub = _parse_witness(module, _require(witnesses, "submodule"))
-    w_total = _parse_witness(module, _require(witnesses, "total"))
-    w_lift = _parse_witness(module, _require(witnesses, "quotient"))
-    report = addition_report(module, submodule, w_sub, w_total, w_lift, spec, seq)
+    report = addition_report(*scenario.addition(args.scenario, args.n_max))
     table = [f"addition formula verdict: {report.verdict}",
              f"easy direction: {'holds' if report.easy_direction_ok else 'VIOLATED'}",
              "", "total module:"]

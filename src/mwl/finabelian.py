@@ -136,25 +136,6 @@ class FinAbGroup:
         parts = [f"C{t}" for t in self.torsion] + ["Z"] * self.free_rank
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self):
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
-
-    @staticmethod
-    def from_json(data, field: str = "group") -> "FinAbGroup":
-        """Parse {"free_rank": r, "torsion": [t_1, ...]}; both keys default to empty.
-
-        `field` names the scenario field in error messages.
-        """
-        if not isinstance(data, dict):
-            raise DomainError(
-                f"{field} must be an object with free_rank and torsion, got {data!r}")
-        free_rank = data.get("free_rank", 0)
-        torsion = data.get("torsion", [])
-        if not isinstance(torsion, list) or not all(
-                type(x) is int for x in (free_rank, *torsion)):
-            raise DomainError(f"{field}: group orders must be integers")
-        return FinAbGroup(tuple(torsion), free_rank)
-
 
 @dataclass(frozen=True)
 class AbElement:
@@ -228,14 +209,6 @@ class AbHom:
 
     def __call__(self, elt: AbElement) -> AbElement:
         return self.apply(elt)
-
-    def compose(self, then: "AbHom") -> "AbHom":
-        """self followed by `then`."""
-        if self.target != then.source:
-            raise DomainError("homs do not compose")
-        prod_rows = matmul([list(r) for r in self.matrix],
-                           [list(r) for r in then.matrix])
-        return AbHom.from_rows(self.source, then.target, prod_rows)
 
 
 def presentation_from_relations(ambient_dim, relation_rows):

@@ -36,61 +36,14 @@ from .subsets import FiniteSubset, minkowski_sum
 __all__ = [
     "GRElement",
     "ShiftModule",
-    "SubmodulePresentation",
     "FiniteSubset",
     "gr_translate",
     "minkowski_sum",
     "orbit_sum",
-    "submodule_normal_form",
     "coeff_quotient",
+    "principal_quotient",
     "embed_subset",
 ]
-
-
-@dataclass(frozen=True)
-class SubmodulePresentation:
-    """Generators of the submodule of an addition report, with its closure rule.
-
-    coeff_subgroup: the submodule of functions valued in D = <generators>
-    <= C, each generator a coefficient vector, for any acting group.
-    principal_z: the submodule the generators (module items) span over
-    the group ring, on infinite cyclic support with prime-field
-    coefficients.
-    """
-
-    closure: str
-    generators: tuple = ()
-
-    def __post_init__(self):
-        if self.closure not in ("coeff_subgroup", "principal_z"):
-            raise DomainError(f"unknown submodule closure {self.closure!r}")
-
-    @staticmethod
-    def coeff_subgroup(generators) -> "SubmodulePresentation":
-        return SubmodulePresentation(
-            "coeff_subgroup", tuple(tuple(g) for g in generators))
-
-    @staticmethod
-    def principal(elements) -> "SubmodulePresentation":
-        items = tuple(x.items if isinstance(x, GRElement) else tuple(x)
-                      for x in elements)
-        return SubmodulePresentation("principal_z", items)
-
-    @staticmethod
-    def from_json(data, module: "ShiftModule") -> "SubmodulePresentation":
-        """Parse a submodule of the plain module `module`."""
-        if "generators" not in data:
-            raise ConfigurationError("submodule is missing the 'generators' field")
-        closure = data.get("closure")
-        if closure == "coeff_subgroup":
-            return SubmodulePresentation.coeff_subgroup(data["generators"])
-        if closure != "principal_z":
-            raise ConfigurationError(f"unknown closure {closure!r}")
-        torsion = module.coeff.torsion
-        if torsion and data.get("p") not in (None, torsion[0]):
-            raise ConfigurationError("modulus does not match the coefficients")
-        return SubmodulePresentation.principal(
-            module.element(pairs) for pairs in data["generators"])
 
 
 @dataclass(frozen=True)
@@ -150,6 +103,11 @@ class ShiftModule:
     # -- elements -------------------------------------------------------
 
     def element(self, pairs) -> "GRElement":
+        try:
+            pairs = [(gcoords, ccoords) for gcoords, ccoords in pairs]
+        except (TypeError, ValueError):
+            raise DomainError("an element must be a list of [support, coefficient] pairs, "
+                              f"got {pairs!r}") from None
         support_group, coeff = self.support_group, self.coeff
         support = {}
         for gcoords, ccoords in pairs:
@@ -255,46 +213,6 @@ class ShiftModule:
             return INFINITE if coeff_card != 1 else 1
         return coeff_card ** support_card
 
-    def to_json(self):
-        out = {"group": self.group.to_json(), "coeff": self.coeff.to_json()}
-        if self.action is not None:
-            out["action_target"] = self.action.target.to_json()
-            out["action_hom"] = [list(r) for r in self.action.matrix]
-        if self.quotient is not None:
-            out["quotient"] = {
-                "closure": "principal_z",
-                "p": self.coeff.torsion[0],
-                "generators": [[[list(g), list(c)] for g, c in items]
-                               for items in self.quotient],
-            }
-        return out
-
-    @staticmethod
-    def from_json(data) -> "ShiftModule":
-        for key in ("group", "coeff"):
-            if key not in data:
-                raise ConfigurationError(f"module is missing the {key!r} field")
-        group = FinAbGroup.from_json(data["group"], "module.group")
-        coeff = FinAbGroup.from_json(data["coeff"], "module.coeff")
-        action = None
-        if "action_target" in data or "action_hom" in data:
-            if "action_target" not in data or "action_hom" not in data:
-                raise ConfigurationError("an action needs action_target and action_hom")
-            rows = data["action_hom"]
-            if not isinstance(rows, list) or not all(
-                    isinstance(r, list) and all(type(x) is int for x in r) for r in rows):
-                raise ConfigurationError("action_hom must be a list of rows of integers")
-            action = AbHom.from_rows(
-                group, FinAbGroup.from_json(data["action_target"], "module.action_target"), rows)
-        plain = ShiftModule(group, coeff, action)
-        if data.get("quotient") is None:
-            return plain
-        sub = SubmodulePresentation.from_json(data["quotient"], plain)
-        if sub.closure != "principal_z":
-            raise ConfigurationError(
-                f"a module quotient must be principal_z, not {sub.closure!r}")
-        return ShiftModule(group, coeff, action, sub.generators)
-
     def elements(self):
         """Enumerate a finite module."""
         if self.quotient is not None:
@@ -379,18 +297,6 @@ def orbit_sum(a: FiniteSubset, folner_set, base: FiniteSubset | None = None) -> 
     return total
 
 
-def submodule_normal_form(m: ShiftModule, x: GRElement) -> GRElement:
-    """Canonical representative of x modulo the presented submodule."""
-    if m.quotient is None:
-        raise ConfigurationError("module carries no principal submodule presentation")
-    if x.module == m:
-        return x
-    plain = ShiftModule(m.group, m.coeff, m.action)
-    if x.module != plain:
-        raise DomainError("element does not live over the same group and coefficients")
-    return m.element([(g, c) for g, c in x.items])
-
-
 def coeff_quotient(m: ShiftModule, d_generators):
     """Quotient by the coefficient subgroup D = <generators>.
 
@@ -408,6 +314,25 @@ def coeff_quotient(m: ShiftModule, d_generators):
             raise DomainError("element not in the source module")
         return target.element(
             [(g, proj(m.coeff._element_of_item(c)).coords) for g, c in x.items])
+
+    return target, project
+
+
+def principal_quotient(m: ShiftModule, generators):
+    """Quotient by the submodule the generators (elements of m) span over
+    the group ring, with the projection; needs infinite cyclic support
+    and prime-field coefficients."""
+    if m.quotient is not None:
+        raise ConfigurationError("module already carries a quotient structure")
+    generators = list(generators)
+    if any(f.module != m for f in generators):
+        raise DomainError("generator not in the module")
+    target = ShiftModule(m.group, m.coeff, m.action, tuple(f.items for f in generators))
+
+    def project(x: GRElement) -> GRElement:
+        if x.module != m:
+            raise DomainError("element not in the source module")
+        return GRElement(target, target._canonical(x.items))
 
     return target, project
 

@@ -251,10 +251,6 @@ class StaircaseBasis:
         return all(not c for c in self.reduce(vec))
 
     @property
-    def pivot_positions(self):
-        return [self._pivot(r) for r in self.rows]
-
-    @property
     def is_finite_quotient(self) -> bool:
         return len(self.rows) == self.k
 

@@ -11,7 +11,8 @@ computed prefix:
                      over domain coefficients (Z or a prime field with
                      torsion-free support): distinct translates are then
                      independent, l(A^[F]) = |F| * l(A) for every finite
-                     F, and the net ratio is constant;
+                     F (rank, nu, gen: if 0 is in A), and the net ratio
+                     is constant;
   finite-module      a finite module under an infinite acting group has
                      bounded values, so the limit is zero;
   constant           every computed ratio is the same exact value; this
@@ -38,12 +39,9 @@ from .finabelian import INFINITE, AbElement, FinAbGroup
 from .groupring import (
     GRElement,
     ShiftModule,
-    SubmodulePresentation,
-    coeff_quotient,
     embed_subset,
     gr_translate,
     orbit_sum,
-    submodule_normal_form,
 )
 from .intmat import row_basis
 from .subsets import SET_CAP, FiniteSubset, minkowski_sum, union
@@ -208,8 +206,14 @@ def product_structure_value(module: ShiftModule, a: FiniteSubset,
       * all elements scalar multiples of one nonzero element, over Z or
         a prime field with torsion-free support: the group ring is then
         a domain and distinct scalar combinations stay distinct.
+
+    Either way A^[F] is a plain product of translates, which settles
+    log_card and tors_log; the span-based specs also need 0 in A, since
+    A = {delta} gives a one-element A^[F] whose span does not grow.
     """
     if module.action is not None or module.quotient is not None:
+        return None
+    if spec.kind not in ("log_card", "tors_log") and not a.contains_zero():
         return None
     if _single_point_witness(a) or _scalar_multiples_witness(module, a):
         return eval_module_subset(spec, a)
@@ -492,30 +496,21 @@ class AdditionReport:
         }
 
 
-def quotient_module_of(m2: ShiftModule, n1: SubmodulePresentation):
-    """The quotient module of m2 by the presented submodule, with projection."""
-    if m2.quotient is not None:
-        raise ConfigurationError("total module must be a plain shift module")
-    if n1.closure == "coeff_subgroup":
-        return coeff_quotient(m2, n1.generators)
-    quot = ShiftModule(m2.group, m2.coeff, m2.action, quotient=n1.generators)
-    return quot, lambda x: submodule_normal_form(quot, x)
-
-
-def addition_report(m2: ShiftModule, n1: SubmodulePresentation,
+def addition_report(m2: ShiftModule, quotient,
                     witness_submodule: FiniteSubset, witness_total: FiniteSubset,
                     witness_quotient_lift: FiniteSubset, spec: WeakLengthSpec,
                     seq: FolnerBoxes) -> AdditionReport:
     """Three ratio tables and the exact addition-formula verdict.
 
-    The submodule witness must lie inside the presented submodule; its
-    orbit sums then stay there, so its table is the submodule's own mean
-    data computed inside the ambient module.  The quotient witness is
-    given as a lift in the total module and pushed through the
-    projection.  The easy direction l((B+B1)^[F]) >= l(B^[F]) + l(C^[F])
-    is checked exactly row by row.
+    `quotient` is the pair (M/N, projection M -> M/N) that coeff_quotient
+    or principal_quotient returns for the submodule N of m2.  The
+    submodule witness must lie inside N; its orbit sums then stay there,
+    so its table is the submodule's own mean data computed inside the
+    ambient module.  The quotient witness is given as a lift in the total
+    module and pushed through the projection.  The easy direction
+    l((B+B1)^[F]) >= l(B^[F]) + l(C^[F]) is checked exactly row by row.
     """
-    quot, project = quotient_module_of(m2, n1)
+    quot, project = quotient
     for x in witness_submodule:
         if not project(x).is_zero():
             raise DomainError("submodule witness leaves the submodule")

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .finabelian import AbHom, FinAbGroup
-from .groupring import ShiftModule, SubmodulePresentation
+from .groupring import ShiftModule, coeff_quotient, principal_quotient
 from .meanlen import (
     FolnerBoxes,
     addition_report,
     certified_scalar_counter,
-    quotient_module_of,
     ratio_sequence,
 )
 from .subsets import FiniteSubset
@@ -215,7 +214,7 @@ def _example_quotient_action(n_max: int) -> ExampleReport:
 
 def _example_addition_coeff(n_max: int) -> ExampleReport:
     m2 = ShiftModule(Z, FinAbGroup.of(4))
-    n1 = SubmodulePresentation.coeff_subgroup([[2]])
+    n1 = coeff_quotient(m2, [[2]])
     seq = FolnerBoxes(Z, n_max)
     w_total = _full_coeff_delta(m2)
     w_sub = FiniteSubset.of(m2, [m2.zero(), m2.delta([2])])
@@ -242,13 +241,13 @@ def _example_addition_coeff(n_max: int) -> ExampleReport:
 def _example_addition_principal(n_max: int) -> ExampleReport:
     m2 = ShiftModule(Z, FinAbGroup.of(2))
     f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    n1 = SubmodulePresentation.principal([f])
+    n1 = principal_quotient(m2, [f])
     seq = FolnerBoxes(Z, n_max)
     w_total = FiniteSubset.of(m2, [m2.zero(), m2.delta([1])])
     w_sub = FiniteSubset.of(m2, [m2.zero(), f])
     w_lift = FiniteSubset.of(m2, [m2.zero(), m2.delta([1])])
     report = addition_report(m2, n1, w_sub, w_total, w_lift, LOG_CARD, seq)
-    quot, _ = quotient_module_of(m2, n1)
+    quot, _ = n1
     quotient_card = quot.cardinality()
     small_bound = MeanRatio.log_ratio(int(quotient_card), 1)
     checks = (

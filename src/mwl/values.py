@@ -49,10 +49,6 @@ class LengthValue:
     def infinity() -> "LengthValue":
         return LengthValue(INFINITY)
 
-    @staticmethod
-    def zero(kind: str) -> "LengthValue":
-        return LengthValue.log_count(1) if kind == LOG else LengthValue.rational(0)
-
     def is_zero(self) -> bool:
         return (self.kind == LOG and self.count == 1) or \
                (self.kind == RATIONAL and self.q == 0)
@@ -125,10 +121,6 @@ class MeanRatio:
     @staticmethod
     def log_ratio(count: int, den: int) -> "MeanRatio":
         return MeanRatio(LengthValue.log_count(count), den)
-
-    @staticmethod
-    def zero(kind: str) -> "MeanRatio":
-        return MeanRatio(LengthValue.zero(kind), 1)
 
     def is_zero(self) -> bool:
         return self.value.is_zero()

@@ -10,7 +10,7 @@ Five selectors are provided:
   gen        minimal number of generators of <A>
 
 `gen` is kept as the standing counterexample: it is monotone but fails
-the product property, so its spec carries is_weak_length = False.
+the product property, so it is not a weak length.
 
 check_axiom evaluates one named axiom on a seeded instance stream and
 reports the first counterexample exactly; a failed check is data, not an
@@ -39,7 +39,7 @@ from .sampling import (
     torsion_elements,
 )
 from .subsets import FiniteSubset, map_subset, minkowski_sum, product_subset, union
-from .values import LOG, RATIONAL, LengthValue, value_add, value_cmp
+from .values import LengthValue, value_add, value_cmp
 
 AXIOMS = (
     "regularity",
@@ -68,28 +68,13 @@ class WeakLengthSpec:
             raise DomainError("only tors_log takes a torsion order")
 
     @property
-    def is_weak_length(self) -> bool:
-        return self.kind != "gen"
-
-    @property
     def length_induced(self) -> bool:
         return self.kind in ("rank", "nu")
-
-    @property
-    def value_kind(self) -> str:
-        return LOG if self.kind in ("log_card", "tors_log") else RATIONAL
-
-    def zero_value(self) -> LengthValue:
-        return LengthValue.zero(self.value_kind)
 
     def to_json(self):
         if self.kind == "tors_log":
             return {"kind": "tors_log", "k": self.k}
         return {"kind": self.kind}
-
-    @staticmethod
-    def from_json(data) -> "WeakLengthSpec":
-        return WeakLengthSpec(data["kind"], data.get("k"))
 
     def __str__(self):
         return f"tors_log({self.k})" if self.kind == "tors_log" else self.kind

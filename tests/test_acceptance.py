@@ -14,14 +14,13 @@ import pytest
 from mwl.bivariant import COVER_LOG, check_upgrading_proper, cover_bivariant
 from mwl.cli import run
 from mwl.finabelian import AbHom, FinAbGroup, quotient_group
-from mwl.groupring import ShiftModule, SubmodulePresentation
+from mwl.groupring import ShiftModule, coeff_quotient, principal_quotient
 from mwl.meanlen import (
     FolnerBoxes,
     InvarianceParams,
     addition_report,
     certified_scalar_counter,
     is_invariant,
-    quotient_module_of,
     ratio_sequence,
 )
 from mwl.subsets import FiniteSubset, map_subset
@@ -100,7 +99,7 @@ def test_criterion_04_torsion_mean_nonadditive():
 def test_criterion_05_addition_coefficient_quotient():
     with criterion(5, "addition formula, coefficient quotient: log 4 = log 2 + log 2"):
         m2 = ShiftModule(Z, FinAbGroup.of(4))
-        n1 = SubmodulePresentation.coeff_subgroup([[2]])
+        n1 = coeff_quotient(m2, [[2]])
         seq = FolnerBoxes(Z, 8)
         report = addition_report(
             m2, n1,
@@ -120,8 +119,8 @@ def test_criterion_06_addition_principal_quotient():
                       "8 normal forms"):
         m2 = ShiftModule(Z, FinAbGroup.of(2))
         f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-        n1 = SubmodulePresentation.principal([f])
-        quot, _ = quotient_module_of(m2, n1)
+        n1 = principal_quotient(m2, [f])
+        quot, _ = n1
         assert quot.cardinality() == 8
         seq = FolnerBoxes(Z, 10)
         report = addition_report(

@@ -11,6 +11,7 @@ from mwl.bivariant import (
 )
 from mwl.errors import ConfigurationError, DomainError
 from mwl.finabelian import AbHom, FinAbGroup, quotient_group, subgroup_generated
+from mwl.scenario import read_bivariant
 from mwl.subsets import FiniteSubset, map_subset, union
 from mwl.values import LengthValue, value_add, value_cmp
 from mwl.weaklength import LOG_CARD, NU, RANK, eval_weak_length
@@ -168,6 +169,6 @@ def test_additivity_of_quotient_upgrading():
 
 def test_bivariant_spec_json():
     for spec in (COVER_LOG, BivariantSpec("quotient_length", RANK)):
-        assert BivariantSpec.from_json(spec.to_json()) == spec
+        assert read_bivariant(spec.to_json()) == spec
     with pytest.raises(DomainError):
         BivariantSpec("quotient_length", None)

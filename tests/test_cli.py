@@ -259,6 +259,16 @@ def _z_witness(witness):
     return scenario
 
 
+def _shipped(name, **fields):
+    return {**json.loads((SCENARIOS / f"{name}.json").read_text()), **fields}
+
+
+def _principal_module_quotient(generators):
+    scenario = _shipped("z2-shift")
+    scenario["module"]["quotient"] = {"closure": "principal_z", "p": 2, "generators": generators}
+    return scenario
+
+
 def _folner_kind(kind):
     scenario = json.loads((SCENARIOS / "z2-shift.json").read_text())
     scenario["folner"]["kind"] = kind
@@ -266,17 +276,36 @@ def _folner_kind(kind):
 
 
 @pytest.mark.parametrize("command, scenario, needle", [
-    ("mean", _without_coeff(), "module is missing the 'coeff' field"),
+    ("mean", _without_coeff(), "module.coeff: missing"),
     ("wl-eval", {"group": [1], "weak_length": {"kind": "log_card"}, "set": [[0]]},
-     "group must be an object"),
+     "group: must be a JSON object"),
     ("mean", _z_witness([[], [[["a"], [1]]]]), "coordinates must be integers"),
     ("mean", _z_witness([[], [[1, [1]]]]), "coordinates must be a list of integers"),
     ("mean", {**_z_witness([[]]), "module": {**_z_witness([[]])["module"],
               "action_target": {"free_rank": 1}, "action_hom": [[0.5]]}},
-     "action_hom must be a list of rows of integers"),
+     "module.action_hom: must be a list of rows of integers"),
     ("mean", _folner_kind("balls"), "unknown folner kind 'balls'"),
     ("addition", {**json.loads((SCENARIOS / "addition-z4.json").read_text()),
                   "folner": {"kind": "balls", "n_max": 4}}, "unknown folner kind"),
+    ("mean", _shipped("z2-shift", weak_length={}), "weak_length.kind: missing"),
+    ("mean", _shipped("z2-shift", weak_length="log_card"), "weak_length: must be a JSON object"),
+    ("mean", _shipped("z2-shift", weak_length={"kind": "tors_log", "k": "2"}),
+     "weak_length.k: must be an integer"),
+    ("mean", _shipped("z2-shift", witness=5), "witness: must be a JSON list"),
+    ("mean", _shipped("z2-shift", witness=[[[[0]]]]),
+     "witness[0]: an element must be a list of [support, coefficient] pairs"),
+    ("mean", _principal_module_quotient(5), "module.quotient.generators: must be a JSON list"),
+    ("addition", _shipped("addition-z4", submodule=5), "submodule: must be a JSON object"),
+    ("addition", _shipped("addition-z4", witnesses=5), "witnesses: must be a JSON object"),
+    ("biv-eval", _shipped("cover-strictness", bivariant={}), "bivariant.kind: missing"),
+    ("biv-eval", _shipped("cover-strictness", bivariant={"kind": "quotient_length"}),
+     "bivariant: quotient_length pairs with rank or nu"),
+    ("biv-check", {"seed": "x"}, "seed: must be an integer"),
+    ("wl-axioms", _shipped("gen-product", seed=1.5), "seed: must be an integer"),
+    ("wl-axioms", _shipped("gen-product", axioms=5), 'axioms: must be "all" or a list'),
+    ("wl-eval", {"group": {"free_rank": 1}, "weak_length": {"kind": "log_card"}, "set": 5},
+     "set: must be a JSON list"),
+    ("mean", _shipped("z2-shift", extra=1), "extra: unknown key"),
 ])
 def test_malformed_input_ends_in_one_error_line(tmp_path, command, scenario, needle):
     # a fresh interpreter, so that a traceback would reach stderr

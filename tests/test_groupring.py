@@ -8,9 +8,10 @@ from mwl.groupring import (
     embed_subset,
     gr_translate,
     orbit_sum,
-    submodule_normal_form,
+    principal_quotient,
 )
 from mwl.sampling import XorShift64Star
+from mwl.scenario import read_module
 from mwl.subsets import FiniteSubset, minkowski_sum
 from mwl.values import LengthValue, value_add, value_cmp
 from mwl.weaklength import LOG_CARD, NU, RANK, eval_weak_length
@@ -155,10 +156,12 @@ def test_submodule_normal_form_principal():
     # N = <1 + t> over Z/2: 1 + t^2 = (1+t)^2 reduces to zero
     plain = shift_module(2)
     n = plain.element([((0,), (1,)), ((1,), (1,))])
-    m = ShiftModule(Z, FinAbGroup.of(2), quotient=(n.items,))
+    m, project = principal_quotient(plain, [n])
+    assert m == ShiftModule(Z, FinAbGroup.of(2), quotient=(n.items,))
     x = plain.element([((0,), (1,)), ((2,), (1,))])
-    assert submodule_normal_form(m, x).is_zero()
-    assert submodule_normal_form(m, plain.zero()).is_zero()
+    assert project(x).is_zero()
+    assert project(plain.zero()).is_zero()
+    assert project(plain.delta([1], at=(1,))) == m.delta([1])
 
 
 def test_principal_quotient_residues():
@@ -198,8 +201,10 @@ def test_normal_form_soundness_random():
 
 def test_normal_form_configuration_errors():
     plain = shift_module(2)
+    quot, _ = principal_quotient(plain, [plain.delta([1])])
     with pytest.raises(ConfigurationError):
-        submodule_normal_form(plain, plain.zero())
+        # a quotient module is not quotiented again
+        principal_quotient(quot, [quot.delta([1])])
     with pytest.raises(ConfigurationError):
         # composite modulus
         bad = ShiftModule(Z, FinAbGroup.of(4), quotient=((((0,), (2,)),),))
@@ -251,16 +256,22 @@ def test_set_cap_overflow():
 def test_module_json_round_trip():
     plain = shift_module(2)
     f = plain.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    modules = [
-        shift_module(4),
-        ShiftModule(FinAbGroup.free(2), FinAbGroup.free(1),
-                    action=AbHom.from_rows(FinAbGroup.free(2), Z, [[1], [0]])),
-        ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,)),
+    z = {"free_rank": 1, "torsion": []}
+    cases = [
+        ({"group": z, "coeff": {"torsion": [4]}}, shift_module(4)),
+        ({"group": {"free_rank": 2}, "coeff": z, "action_target": z, "action_hom": [[1], [0]]},
+         ShiftModule(FinAbGroup.free(2), FinAbGroup.free(1),
+                     action=AbHom.from_rows(FinAbGroup.free(2), Z, [[1], [0]]))),
+        ({"group": z, "coeff": {"torsion": [2]},
+          "quotient": {"closure": "principal_z", "p": 2,
+                       "generators": [[[[0], [1]], [[1], [1]], [[3], [1]]]]}},
+         ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))),
+        # a coefficient-subgroup quotient gives the module over C/D
+        ({"group": z, "coeff": {"torsion": [4]},
+          "quotient": {"closure": "coeff_subgroup", "generators": [[2]]}},
+         shift_module(2)),
     ]
-    for m in modules:
-        assert ShiftModule.from_json(m.to_json()) == m
-    # a coefficient-subgroup quotient is not a module quotient
-    data = shift_module(4).to_json()
-    data["quotient"] = {"closure": "coeff_subgroup", "generators": [[2]]}
-    with pytest.raises(ConfigurationError):
-        ShiftModule.from_json(data)
+    for data, expected in cases:
+        module, read = read_module(data)
+        assert module == expected
+        assert read([[[0], [1]]]) == expected.delta([1])

@@ -4,7 +4,7 @@ import pytest
 
 from mwl.errors import DomainError
 from mwl.finabelian import FinAbGroup
-from mwl.groupring import ShiftModule, SubmodulePresentation
+from mwl.groupring import ShiftModule, coeff_quotient
 from mwl.meanlen import (
     FolnerBoxes,
     InvarianceParams,
@@ -192,7 +192,7 @@ def test_mean_lower_bound_ignores_uncertified_witness():
 
 def test_addition_report_coeff_quotient():
     m2 = ShiftModule(Z, FinAbGroup.of(4))
-    n1 = SubmodulePresentation.coeff_subgroup([[2]])
+    n1 = coeff_quotient(m2, [[2]])
     seq = FolnerBoxes(Z, 8)
     total = FiniteSubset.of(m2, [m2.delta([c]) for c in range(4)])
     sub = FiniteSubset.of(m2, [m2.zero(), m2.delta([2])])
@@ -205,7 +205,7 @@ def test_addition_report_coeff_quotient():
 
 def test_addition_report_trivial_submodule():
     m2 = ShiftModule(Z, FinAbGroup.of(2))
-    n1 = SubmodulePresentation.coeff_subgroup([[0]])
+    n1 = coeff_quotient(m2, [[0]])
     seq = FolnerBoxes(Z, 6)
     w = FiniteSubset.of(m2, [m2.zero(), m2.delta([1])])
     zero_w = FiniteSubset.of(m2, [m2.zero()])
@@ -216,7 +216,7 @@ def test_addition_report_trivial_submodule():
 
 def test_addition_report_rejects_bad_submodule_witness():
     m2 = ShiftModule(Z, FinAbGroup.of(4))
-    n1 = SubmodulePresentation.coeff_subgroup([[2]])
+    n1 = coeff_quotient(m2, [[2]])
     seq = FolnerBoxes(Z, 4)
     total = FiniteSubset.of(m2, [m2.delta([c]) for c in range(4)])
     bad_sub = FiniteSubset.of(m2, [m2.zero(), m2.delta([1])])
@@ -226,7 +226,7 @@ def test_addition_report_rejects_bad_submodule_witness():
 
 def test_scale_invariance_of_addition_verdict():
     m2 = ShiftModule(Z, FinAbGroup.of(4))
-    n1 = SubmodulePresentation.coeff_subgroup([[2]])
+    n1 = coeff_quotient(m2, [[2]])
     total = FiniteSubset.of(m2, [m2.delta([c]) for c in range(4)])
     sub = FiniteSubset.of(m2, [m2.zero(), m2.delta([2])])
     lift = FiniteSubset.of(m2, [m2.zero(), m2.delta([1])])

@@ -9,15 +9,20 @@ cap so that cap hits happen on small inputs.
 import pytest
 
 from mwl import groupring, meanlen, subsets
-from mwl.errors import ConfigurationError, SetSizeLimitError
+from mwl.errors import SetSizeLimitError
 from mwl.finabelian import FinAbGroup
-from mwl.groupring import ShiftModule, SubmodulePresentation, gr_translate, orbit_sum
+from mwl.groupring import (
+    ShiftModule,
+    coeff_quotient,
+    gr_translate,
+    orbit_sum,
+    principal_quotient,
+)
 from mwl.meanlen import (
     FolnerBoxes,
     addition_report,
     certified_scalar_counter,
     eval_module_subset,
-    product_structure_value,
     ratio_sequence,
 )
 from mwl.sampling import XorShift64Star
@@ -119,9 +124,6 @@ def test_random_tables_match_rebuilt_orbit_sums(low_cap, name):
                 # tors_log needs the set to meet the torsion; 0 always does
                 with_zero = spec.kind == "tors_log" or (trial + len(elements)) % 2 == 0
                 a = FiniteSubset.of(module, elements + [module.zero()] * with_zero)
-                if (spec.length_induced and not with_zero
-                        and product_structure_value(module, a, spec) is not None):
-                    continue  # the product-structure defect, see the xfail test below
                 est = _check_table(module, a, spec, FolnerBoxes(acting, n_max))
                 truncated += est.truncated_at is not None
                 enumerated += sum(r.method == "enumerated" for r in est.rows)
@@ -130,9 +132,6 @@ def test_random_tables_match_rebuilt_orbit_sums(low_cap, name):
         assert truncated > 0  # the lowered cap is reached on some tables
 
 
-@pytest.mark.xfail(strict=True, raises=ConfigurationError,
-                   reason="product-structure assumes l(A^[F]) = |F| l(A) for rank and nu "
-                          "also when 0 is not in A, where A^[F] spans less")
 def test_product_structure_needs_zero_for_length_induced_specs():
     # A = {delta}: A^[F] is one element, so its span is cyclic and nu is 1
     # for every F, not |F|
@@ -169,19 +168,19 @@ def _easy_rows_rebuilt(spec, combined, sub, pushed, seq):
 def test_easy_rows_match_rebuilt_orbit_sums(low_cap, case):
     if case == "coeff-z4":
         m2 = ShiftModule(Z, FinAbGroup.of(4))
-        n1 = SubmodulePresentation.coeff_subgroup([[2]])
+        n1 = coeff_quotient(m2, [[2]])
         total = FiniteSubset.of(m2, [m2.delta([c]) for c in range(4)])
         sub = FiniteSubset.of(m2, [m2.zero(), m2.delta([2])])
     else:
         m2 = ShiftModule(Z, FinAbGroup.of(2))
         f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-        n1 = SubmodulePresentation.principal([f])
+        n1 = principal_quotient(m2, [f])
         total = FiniteSubset.of(m2, [m2.zero(), m2.delta([1])])
         sub = FiniteSubset.of(m2, [m2.zero(), f])
     lift = FiniteSubset.of(m2, [m2.zero(), m2.delta([1]), m2.delta([1], at=(1,))])
     seq = FolnerBoxes(Z, 10)
     report = addition_report(m2, n1, sub, total, lift, LOG_CARD, seq)
-    quot, project = meanlen.quotient_module_of(m2, n1)
+    quot, project = n1
     pushed = FiniteSubset.of(quot, [project(x) for x in lift])
     expected = _easy_rows_rebuilt(LOG_CARD, minkowski_sum(sub, lift), sub, pushed, seq)
     assert len(expected) < seq.n_max  # the lowered cap stops the easy rows

@@ -2,6 +2,7 @@ import pytest
 
 from mwl.errors import DomainError
 from mwl.finabelian import FinAbGroup
+from mwl.scenario import read_weak_length
 from mwl.subsets import FiniteSubset, minkowski_sum, union
 from mwl.values import LengthValue, value_add, value_cmp
 from mwl.weaklength import (
@@ -9,7 +10,6 @@ from mwl.weaklength import (
     LOG_CARD,
     NU,
     RANK,
-    WeakLengthSpec,
     check_axiom,
     eval_weak_length,
     tors_log,
@@ -185,4 +185,4 @@ def test_check_axiom_deterministic():
 
 def test_spec_json_round_trip():
     for spec in (*ALL_SPECS, GEN):
-        assert WeakLengthSpec.from_json(spec.to_json()) == spec
+        assert read_weak_length(spec.to_json()) == spec
