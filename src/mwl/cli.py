@@ -157,29 +157,32 @@ def _cmd_list_examples(args):
     return 0, {"result": {"examples": names}}, list(names)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "table", "both"], default="both")
-    common.add_argument("--out", help="also write the JSON report to this path")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--n-max", type=int, default=None, dest="n_max")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so that they end in one error line with exit 1."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes --format, --out and only the flags it reads."""
+    parser = _Parser(
         prog="mwl",
         description="exact weak-length, bivariant-upgrading and mean-value toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, needs_scenario in (
-        ("wl-eval", True), ("wl-axioms", True), ("biv-eval", True),
-        ("biv-check", False), ("mean", True), ("addition", True),
-    ):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("--scenario", required=needs_scenario)
-
-    p_example = sub.add_parser("example", parents=[common])
-    p_example.add_argument("name")
-    sub.add_parser("list-examples", parents=[common])
+    commands = {name: sub.add_parser(name) for name in _HANDLERS}
+    for p in commands.values():
+        p.add_argument("--format", choices=["json", "table", "both"], default="both")
+        p.add_argument("--out", help="also write the JSON report to this path")
+    for name in ("wl-eval", "wl-axioms", "biv-eval", "mean", "addition"):
+        commands[name].add_argument("--scenario", required=True)
+    commands["biv-check"].add_argument("--scenario")
+    for name in ("wl-axioms", "biv-check"):
+        commands[name].add_argument("--seed", type=int)
+        commands[name].add_argument("--budget", type=int)
+    for name in ("mean", "addition", "example"):
+        commands[name].add_argument("--n-max", type=int, dest="n_max")
+    commands["example"].add_argument("name")
     return parser
 
 
@@ -196,22 +199,25 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, report, table = _HANDLERS[args.command](args)
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = {"command": args.command, **report, "exit_code": code}
     payload = json.dumps(report, sort_keys=True, indent=2)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            print(f"error: --out: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 1
     if args.format in ("json", "both"):
         print(payload)
     if args.format in ("table", "both"):
         print("\n".join(table))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
     return code
 
 

@@ -15,16 +15,20 @@ computed prefix:
                      is constant;
   finite-module      a finite module under an infinite acting group has
                      bounded values, so the limit is zero;
+  sofic              log_card over Z with finite coefficients: the rows
+                     are path counts of an automaton (mwl.sofic), and the
+                     limit is log k when the largest spectral radius of
+                     its components is an integer k, proved exactly;
   constant           every computed ratio is the same exact value; this
                      is evidence about a prefix, reported without an
                      exactness claim (a finite quotient looks constant
                      before it saturates).
 
 Computed rows are always checked against an applicable structural rule,
-so a disagreement raises instead of misreporting.  Orbit sets that would
-overflow the subset cap truncate the table and mark it, unless a
-certified counting rule covers the missing rows (the structural rule
-above, or the per-row integer-rank rule of certified_scalar_counter).
+so a disagreement raises instead of misreporting.  Sofic rows are counted,
+never enumerated, so they are never truncated.  Enumerated orbit sets
+that would overflow the subset cap truncate the table and mark it, unless
+the product-structure rule covers the missing rows.
 """
 
 from __future__ import annotations
@@ -34,17 +38,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
+from . import sofic
 from .errors import ConfigurationError, DomainError, SetSizeLimitError
 from .finabelian import INFINITE, AbElement, FinAbGroup
 from .groupring import (
-    GRElement,
     ShiftModule,
     embed_subset,
     gr_translate,
     orbit_sum,
 )
-from .intmat import row_basis
-from .subsets import SET_CAP, FiniteSubset, minkowski_sum, union
+from .subsets import FiniteSubset, minkowski_sum, union
 from .values import (
     LengthValue,
     MeanRatio,
@@ -138,7 +141,7 @@ class RatioRow:
     folner_size: int
     value: LengthValue
     ratio: MeanRatio
-    method: str  # enumerated | certified
+    method: str  # sofic | enumerated | certified
 
     def to_json(self):
         out = {"n": self.n, "folner_size": self.folner_size,
@@ -149,7 +152,7 @@ class RatioRow:
 
 @dataclass(frozen=True)
 class CertificateInfo:
-    kind: str | None            # constant | finite-module | constant-box | None
+    kind: str | None  # product-structure | finite-module | sofic | constant | None
     ratio: MeanRatio | None
     exact: bool
 
@@ -295,36 +298,79 @@ def eval_module_subset(spec: WeakLengthSpec, subset: FiniteSubset) -> LengthValu
 
 
 def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
-                   seq: FolnerBoxes, count_certifier=None) -> MeanEstimate:
+                   seq: FolnerBoxes) -> MeanEstimate:
     """Exact ratio table l(A^[F_n]) / |F_n| for n = 1..n_max.
+
+    log_card over Z with finite coefficients counts every row with the
+    subset-construction automaton of mwl.sofic (method "sofic"), unless
+    that automaton passes its state cap.  Other tables enumerate the
+    orbit sums (see _enumerated_values).
+    """
+    if a.ambient != module:
+        raise DomainError("witness does not live in the module")
+    zero_in_a = a.contains_zero()
+    symmetric_a = a.is_symmetric()
+    structural = product_structure_value(module, a, spec)
+    automaton = sofic.subset_automaton(a) if sofic.applies(module, spec) else None
+    if automaton is not None:
+        computed = ((LengthValue.log_count(c), "sofic") for c in automaton.counts(seq.n_max))
+    else:
+        computed = _enumerated_values(a, spec, seq, structural)
+
+    rows = []
+    for n, (value, method) in enumerate(computed, 1):
+        size = seq.size(n)
+        if structural is not None:
+            expected = _scaled_value(structural, size)
+            if value_cmp(value, expected) != 0:
+                raise ConfigurationError(
+                    f"structural value {expected} disagrees with the computed "
+                    f"value {value} at n={n}")
+        rows.append(RatioRow(n, size, value, MeanRatio(value, size), method))
+    if not rows:
+        raise ConfigurationError("no Folner box could be evaluated under the cap")
+    truncated_at = None if len(rows) == seq.n_max else len(rows) + 1
+
+    ratios = [r.ratio for r in rows]
+    finite_ratios = [r for r in ratios if not r.value.is_infinite()]
+    running_inf = ratio_min(finite_ratios) if finite_ratios else ratios[0]
+    constant_exact = all(ratio_eq(r, ratios[0]) for r in ratios[1:])
+    strongly_subadditive = spec.length_induced and symmetric_a and zero_in_a
+
+    fekete_checked = zero_in_a and module.group.free_rank == 1
+    fekete_ok = _fekete_ok([r.value for r in rows]) if fekete_checked else None
+    doubling_ok = None
+    if strongly_subadditive:
+        ratio_at = {r.n: r.ratio for r in rows}
+        doubling_ok = all(ratio_le(ratio_at[2 * n], ratio_at[n])
+                          for n in ratio_at if 2 * n in ratio_at)
+
+    limit = _limit_certificate(module, structural, automaton, ratios[0], constant_exact)
+    return MeanEstimate(
+        spec=spec, rows=tuple(rows), running_inf=running_inf,
+        zero_in_a=zero_in_a, symmetric_a=symmetric_a,
+        length_induced=spec.length_induced, constant_exact=constant_exact,
+        strongly_subadditive=strongly_subadditive, truncated_at=truncated_at,
+        fekete_checked=fekete_checked, fekete_ok=fekete_ok,
+        doubling_ok=doubling_ok, limit=limit)
+
+
+def _enumerated_values(a: FiniteSubset, spec: WeakLengthSpec, seq: FolnerBoxes,
+                       structural: LengthValue | None):
+    """(value, method) per row from the orbit sums, in order of n.
 
     The boxes are nested, so each row adds the translates over the shell
     F_n minus F_(n-1) to the previous row's set.  For 0 in A and a
     length-induced spec the submodule generated by A^[F_n] equals the one
     generated by the union of the translates, so that union is carried
     instead of the orbit sum.  |X + Y| >= |X| makes |A^[F_n]| grow with
-    n, so once a row passes SET_CAP no later row is enumerated.
+    n, so once a row passes SET_CAP no later row is enumerated: the rows
+    from there on take the structural value, or the table ends.
     """
-    if a.ambient != module:
-        raise DomainError("witness does not live in the module")
-    zero_in_a = a.contains_zero()
-    symmetric_a = a.is_symmetric()
-    use_span = spec.length_induced and zero_in_a
-    structural = product_structure_value(module, a, spec)
-
-    rows = []
-    values = {}
-    truncated_at = None
+    use_span = spec.length_induced and a.contains_zero()
     orbit = None  # A^[F_(n-1)], or the union of its translates on the span path
     capped = False
     for n in range(1, seq.n_max + 1):
-        size = seq.size(n)
-        expected = None if structural is None else _scaled_value(structural, size)
-        certified = None
-        if count_certifier is not None and spec.kind == "log_card":
-            certified = count_certifier(n)
-        if certified is not None and certified > SET_CAP:
-            capped = True
         if not capped:
             try:
                 if use_span:
@@ -335,107 +381,40 @@ def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
                     orbit = orbit_sum(a, seq.shell(n), orbit)
                 value = eval_module_subset(spec, orbit)
             except SetSizeLimitError:
-                capped = True
+                capped, orbit = True, None
             else:
-                if certified is not None and certified != value.count:
-                    raise ConfigurationError(
-                        f"certified count {certified} disagrees with enumeration "
-                        f"{value.count} at n={n}")
-        if capped:
-            orbit = None
-            if certified is not None:
-                value = LengthValue.log_count(certified)
-            elif expected is not None:
-                value = expected
-            else:
-                truncated_at = n
-                break
-            method = "certified"
-        else:
-            method = "enumerated"
-        if expected is not None and value_cmp(value, expected) != 0:
-            raise ConfigurationError(
-                f"structural value {expected} disagrees with the computed "
-                f"value {value} at n={n}")
-        values[n] = value
-        rows.append(RatioRow(n, size, value, MeanRatio(value, size), method))
-    if not rows:
-        raise ConfigurationError("no Folner box could be evaluated under the cap")
-
-    ratios = [r.ratio for r in rows]
-    finite_ratios = [r for r in ratios if not r.value.is_infinite()]
-    running_inf = ratio_min(finite_ratios) if finite_ratios else ratios[0]
-    constant_exact = all(ratio_eq(r, ratios[0]) for r in ratios[1:])
-    strongly_subadditive = spec.length_induced and symmetric_a and zero_in_a
-
-    fekete_checked = zero_in_a and module.group.free_rank == 1
-    fekete_ok = None
-    if fekete_checked:
-        fekete_ok = True
-        for n in values:
-            for m in values:
-                if n + m in values:
-                    bound = value_add(values[n], values[m])
-                    if not value_le(values[n + m], bound):
-                        fekete_ok = False
-    doubling_ok = None
-    if strongly_subadditive:
-        ratio_at = {r.n: r.ratio for r in rows}
-        doubling_ok = all(ratio_le(ratio_at[2 * n], ratio_at[n])
-                          for n in ratio_at if 2 * n in ratio_at)
-
-    limit = _limit_certificate(module, structural, ratios[0], constant_exact)
-    return MeanEstimate(
-        spec=spec, rows=tuple(rows), running_inf=running_inf,
-        zero_in_a=zero_in_a, symmetric_a=symmetric_a,
-        length_induced=spec.length_induced, constant_exact=constant_exact,
-        strongly_subadditive=strongly_subadditive, truncated_at=truncated_at,
-        fekete_checked=fekete_checked, fekete_ok=fekete_ok,
-        doubling_ok=doubling_ok, limit=limit)
+                yield value, "enumerated"
+                continue
+        if structural is None:
+            return
+        yield _scaled_value(structural, seq.size(n)), "certified"
 
 
-def _limit_certificate(module, structural, first_ratio, constant_exact) -> CertificateInfo:
+def _fekete_ok(values) -> bool:
+    """l(F_(n+m)) <= l(F_n) + l(F_m) on every computed pair (values[i] is row i + 1)."""
+    last = len(values)
+    pairs = ((n, m) for n in range(1, last // 2 + 1) for m in range(n, last - n + 1))
+    v = (None, *values)
+    if all(x.kind == "log" for x in values):
+        # log a <= log b + log c  iff  a <= b * c
+        c = (None, *(x.count for x in values))
+        return all(c[n + m] <= c[n] * c[m] for n, m in pairs)
+    return all(value_le(v[n + m], value_add(v[n], v[m])) for n, m in pairs)
+
+
+def _limit_certificate(module, structural, automaton, first_ratio,
+                       constant_exact) -> CertificateInfo:
     if structural is not None:
         return CertificateInfo("product-structure", MeanRatio(structural, 1), True)
     if module.cardinality() != INFINITE and module.group.cardinality() == INFINITE:
         return CertificateInfo("finite-module", MeanRatio(LengthValue.log_count(1), 1), True)
+    base = automaton.limit_base() if automaton is not None else None
+    if base is not None:
+        return CertificateInfo("sofic", MeanRatio(LengthValue.log_count(base), 1), True)
     if constant_exact:
         # prefix evidence only: a finite quotient looks constant early on
         return CertificateInfo("constant", first_ratio, False)
     return CertificateInfo(None, None, False)
-
-
-def certified_scalar_counter(module: ShiftModule, f: GRElement, scalar_count: int,
-                             seq: FolnerBoxes):
-    """Counting rule for witnesses {j*f : 0 <= j < N} over Z coefficients.
-
-    |A^[F_n]| = N^n holds whenever the translates of f over the box are
-    linearly independent over Z; that rank is computed exactly per n, so
-    the returned count is certified, not assumed.  Returns a callable
-    n -> count or None.
-    """
-    if module.coeff.torsion or module.coeff.free_rank != 1:
-        raise ConfigurationError("scalar counting rule needs integer coefficients")
-    if f.module != module or f.is_zero():
-        raise ConfigurationError("scalar counting rule needs a nonzero module element")
-
-    def counter(n: int):
-        box = seq.box(n)
-        translates = [next(iter(gr_translate(-s, FiniteSubset.of(module, [f]))))
-                      for s in box]
-        points = sorted({g for x in translates for g, _ in x.items})
-        index = {p: i for i, p in enumerate(points)}
-        matrix = []
-        for x in translates:
-            row = [0] * len(points)
-            for g, c in x.items:
-                row[index[g]] = c[0]
-            matrix.append(row)
-        if len(row_basis(matrix)) != len(box):
-            return None
-        return scalar_count ** len(box)
-
-    return counter
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .finabelian import AbHom, FinAbGroup
 from .groupring import ShiftModule, coeff_quotient, principal_quotient
-from .meanlen import (
-    FolnerBoxes,
-    addition_report,
-    certified_scalar_counter,
-    ratio_sequence,
-)
+from .meanlen import FolnerBoxes, addition_report, ratio_sequence
 from .subsets import FiniteSubset
 from .values import MeanRatio, ratio_eq, ratio_le
 from .weaklength import LOG_CARD, WeakLengthSpec, tors_log
@@ -163,8 +158,7 @@ def _example_scalar_range_bound(n_max: int, scalar_count: int = 16) -> ExampleRe
     witness = FiniteSubset.of(
         module, [module.element([(g, (j * c[0],)) for g, c in f.items])
                  for j in range(scalar_count)])
-    counter = certified_scalar_counter(module, f, scalar_count, seq)
-    est = ratio_sequence(module, witness, LOG_CARD, seq, count_certifier=counter)
+    est = ratio_sequence(module, witness, LOG_CARD, seq)
     bound = MeanRatio.log_ratio(scalar_count, support_size ** 2)
     every_ratio_ok = all(ratio_le(bound, r.ratio) for r in est.rows)
     checks = (

@@ -13,7 +13,8 @@ one kind, and infinity absorbs within either.
 
 MeanRatio is a LengthValue divided by a positive integer (a Folner set
 size); comparisons cross-multiply, so log(a)/m <= log(b)/n becomes the
-exact integer test a^n <= b^m.
+exact integer test a^n <= b^m.  Floating-point logs settle only the
+comparisons whose two sides are far apart, before those powers are taken.
 """
 
 from __future__ import annotations
@@ -153,7 +154,11 @@ def ratio_cmp(x: MeanRatio, y: MeanRatio) -> int:
     if a.kind != b.kind:
         raise DomainError(f"cannot compare ratios of kinds {a.kind} and {b.kind}")
     if a.kind == LOG:
+        # floats decide when the logs are far apart; otherwise
         # log(a)/m <= log(b)/n  iff  a^n <= b^m
+        fx, fy = math.log(a.count) / x.den, math.log(b.count) / y.den
+        if abs(fx - fy) > 1e-9 * (fx + fy):
+            return 1 if fx > fy else -1
         left = a.count ** y.den
         right = b.count ** x.den
         return (left > right) - (left < right)

@@ -19,7 +19,6 @@ from mwl.meanlen import (
     FolnerBoxes,
     InvarianceParams,
     addition_report,
-    certified_scalar_counter,
     is_invariant,
     ratio_sequence,
 )
@@ -200,14 +199,13 @@ def test_criterion_10_scalar_range_necessary_condition():
         witness = FiniteSubset.of(
             module, [module.element([(g, (j * c[0],)) for g, c in f.items])
                      for j in range(16)])
-        counter = certified_scalar_counter(module, f, 16, seq)
-        est = ratio_sequence(module, witness, LOG_CARD, seq, count_certifier=counter)
+        est = ratio_sequence(module, witness, LOG_CARD, seq)
         assert len(est.rows) == 10 and est.truncated_at is None
         bound = MeanRatio.log_ratio(16, 4)
         for r in est.rows:
             assert ratio_le(bound, r.ratio)
         enumerated = [r.n for r in est.rows if r.method == "enumerated"]
-        assert enumerated == [1, 2, 3, 4]  # cross-checked against the rank rule
+        assert enumerated == [1, 2, 3, 4]  # cross-checked against the structural rule
         assert [r.value.count for r in est.rows] == [16 ** n for n in range(1, 11)]
 
 

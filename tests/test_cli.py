@@ -319,3 +319,47 @@ def test_malformed_input_ends_in_one_error_line(tmp_path, command, scenario, nee
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert needle in proc.stderr
+
+
+def _one_error_line(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["mean", "--scenario", str(SCENARIOS / "z2-shift.json"), "--bogus", "1"],
+     "unrecognized arguments: --bogus 1"),
+    (["mean", "--scenario", str(SCENARIOS / "z2-shift.json"), "--n-max", "x"],
+     "argument --n-max: invalid int value: 'x'"),
+    (["mean"], "required: --scenario"),
+    ([], "required: command"),
+    (["no-such-command"], "invalid choice"),
+    (["example", "z2-vs-z3", "--format", "yaml"], "argument --format: invalid choice"),
+])
+def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
+    assert needle in _one_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["wl-eval", "--scenario", str(SCENARIOS / "cover-strictness.json"), "--seed", "5"],
+    ["wl-axioms", "--scenario", str(SCENARIOS / "gen-product.json"), "--n-max", "3"],
+    ["biv-eval", "--scenario", str(SCENARIOS / "cover-strictness.json"), "--budget", "3"],
+    ["biv-check", "--n-max", "3"],
+    ["mean", "--scenario", str(SCENARIOS / "z2-shift.json"), "--budget", "0", "--seed", "5"],
+    ["addition", "--scenario", str(SCENARIOS / "addition-z4.json"), "--seed", "5"],
+    ["example", "z2-vs-z3", "--budget", "3"],
+    ["list-examples", "--n-max", "3"],
+], ids=lambda argv: argv[0])
+def test_each_subcommand_rejects_flags_it_does_not_read(capsys, argv):
+    assert "unrecognized arguments" in _one_error_line(capsys, argv)
+
+
+def test_unwritable_out_path_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "x.json"
+    err = _one_error_line(capsys, ["mean", "--scenario", str(SCENARIOS / "z2-shift.json"),
+                                   "--out", str(target)])
+    assert err.startswith(f"error: --out: cannot write {target}")
+    assert not target.exists()

@@ -26,19 +26,19 @@ SCENARIO_COMMANDS = {
 }
 
 GOLDEN = {
-    "scenario:addition-principal": (0, "4285f216f5d6f8a286247da09fa92dcab4109b4cbbfb034c7e5e2a46c0c21bd8"),
-    "scenario:addition-z4": (0, "2e2dfa13ea3dd3d77448847b2c8e2591818a43bc31b3009fb8cb17058a81bb5a"),
+    "scenario:addition-principal": (0, "74099abfacd70fed9767a01947004c83fcda489cee7fc299d521330102a632f2"),
+    "scenario:addition-z4": (0, "d15b87a108ac866badbcc034ad4e0397064e8df9ee35a29acdce7e0b561268c9"),
     "scenario:cover-strictness": (0, "16a5bbd7e73bc0bcc16275e04a2ebe95afac7bf6c580a77a25d66f17487ef07a"),
     "scenario:gen-product": (2, "560dc13bc9e2d173ba7735ecc3a56173d96e3735f6e2c8015e97b68912184364"),
-    "scenario:z2-shift": (0, "06351ef86eee3c6e6cb1c8fb55129098324b9c422dbc6b33a906db66fa28df0a"),
-    "example:addition-coeff-z4": (0, "26e92d2cc351a59b4f18819241d25e96229cb4561f80878a7e36fc48aa8e03e7"),
-    "example:addition-principal-z2": (0, "8069a0b6ad52706f4b169bf06d3ce2edb9c5ec995afa200fc47959aa030e2419"),
+    "scenario:z2-shift": (0, "c4f030e4b424dcf2803486995f483655abb28b8ac5a0bc72b4a944659ccc6f8d"),
+    "example:addition-coeff-z4": (0, "52b06cd67a5256c9d35ef7c77fd0f2e1295b6009ddbcf8920c2de7e6009547e7"),
+    "example:addition-principal-z2": (0, "d06f6acdb3654f56e852af6e600ad494046293653e5ed58e0eea440d945f5c95"),
     "example:quotient-action-zero": (0, "3f67d6d2cbdb1371626703e18b611b6c3878ae7e6d08735da4d57289d9d81aa8"),
     "example:scalar-range-bound": (0, "fca7030955537f765494382c291a297d4af1af29e44a7eaab56d58b7bfe004fd"),
     "example:scalar-range-log-k": (0, "823817b9fa9208b62876aaeb8314532aa3e24854de13663226e4240fd01fabb7"),
     "example:single-generator-zero": (0, "4682593da0c80388b8ad7f38d28e3d6a2a407f92db456683ee31419babecf13e"),
     "example:torsion-nonadditive": (0, "b2f5a88e58cdecd7fb2ed89b99add42356324227cff9d09a5043a0a428a97757"),
-    "example:z2-vs-z3": (0, "225b89ebb4369c725b8dddc1c76693321da94c8471d018d653edc40fa26bab9d"),
+    "example:z2-vs-z3": (0, "931c14030273d8fdcdabc00b426d1590b9166dd22fc76094c0502435fdec4815"),
     "biv-check": (0, "ed3ba2dcdf0f5ecf24fc0e6355e2d2b2ae2bfed624195d10741933da3c2826ea"),
 }
 

@@ -8,7 +8,7 @@ cap so that cap hits happen on small inputs.
 
 import pytest
 
-from mwl import groupring, meanlen, subsets
+from mwl import groupring, subsets
 from mwl.errors import SetSizeLimitError
 from mwl.finabelian import FinAbGroup
 from mwl.groupring import (
@@ -21,7 +21,6 @@ from mwl.groupring import (
 from mwl.meanlen import (
     FolnerBoxes,
     addition_report,
-    certified_scalar_counter,
     eval_module_subset,
     ratio_sequence,
 )
@@ -43,10 +42,8 @@ COEFFS = (FinAbGroup.of(2), FinAbGroup.of(3), FinAbGroup.of(4), FinAbGroup.free(
 
 @pytest.fixture
 def low_cap(monkeypatch):
-    # the cap that minkowski_sum enforces and the one ratio_sequence
-    # compares certified counts with
+    # the cap that minkowski_sum enforces
     monkeypatch.setattr(subsets, "SET_CAP", CAP)
-    monkeypatch.setattr(meanlen, "SET_CAP", CAP)
 
 
 def _random_element(rng, module):
@@ -86,6 +83,9 @@ def _check_table(module, a, spec, seq):
             assert ref is None or value_cmp(row.value, ref) == 0
         elif row.method == "enumerated":
             assert ref is not None and value_cmp(row.value, ref) == 0
+        elif row.method == "sofic":
+            # counted, never enumerated: every row below the cap is checked
+            assert ref is None or value_cmp(row.value, ref) == 0
         else:
             assert ref is None  # certified rows are the rows past the cap
     if est.truncated_at is None:
@@ -211,7 +211,8 @@ def _spy_on_minkowski(monkeypatch):
 
 def test_no_enumeration_after_cap_hit_under_product_structure(low_cap, monkeypatch):
     calls = _spy_on_minkowski(monkeypatch)
-    m = ShiftModule(Z, FinAbGroup.of(2))
+    # integer coefficients: the table is enumerated, not counted by mwl.sofic
+    m = ShiftModule(Z, FinAbGroup.free(1))
     a = FiniteSubset.of(m, [m.zero(), m.delta([1])])
     est = ratio_sequence(m, a, LOG_CARD, FolnerBoxes(Z, 16))
     assert est.limit.kind == "product-structure" and est.truncated_at is None
@@ -223,14 +224,11 @@ def test_no_enumeration_after_cap_hit_under_product_structure(low_cap, monkeypat
 
 def test_no_enumeration_after_certified_count_passes_cap(low_cap, monkeypatch):
     calls = _spy_on_minkowski(monkeypatch)
-    m = ShiftModule(Z, FinAbGroup.free(1))
-    f = m.element([((0,), (1,)), ((1,), (1,))])
-    a = FiniteSubset.of(m, [m.element([(g, (j * c[0],)) for g, c in f.items])
-                            for j in range(4)])
-    seq = FolnerBoxes(Z, 10)
-    est = ratio_sequence(m, a, LOG_CARD, seq,
-                         count_certifier=certified_scalar_counter(m, f, 4, seq))
-    # 4^4 <= CAP < 4^5: row 5 takes the certified count without enumerating
-    assert "cap" not in calls and max(calls) <= 4 ** 4
-    assert [r.method for r in est.rows] == ["enumerated"] * 4 + ["certified"] * 6
-    assert [r.value.count for r in est.rows] == [4 ** n for n in range(1, 11)]
+    m = ShiftModule(Z, FinAbGroup.of(2))
+    a = FiniteSubset.of(m, [m.zero(), m.delta([1]), m.delta([1], at=(1,))])
+    est = ratio_sequence(m, a, LOG_CARD, FolnerBoxes(Z, 10))
+    # sofic counts pass CAP at n = 8 (2^9 - 1) and nothing is enumerated
+    assert calls == []
+    assert [r.method for r in est.rows] == ["sofic"] * 10
+    assert [r.value.count for r in est.rows] == [2 ** (n + 1) - 1 for n in range(1, 11)]
+    assert est.truncated_at is None

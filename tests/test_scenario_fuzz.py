@@ -30,6 +30,9 @@ SMALL_JSON = st.recursive(
     max_leaves=8)
 # an unknown key, and optional keys that some objects take and others do not
 ADDED_KEYS = ("x-extra", "seed", "budget", "quotient", "p", "k", "base", "n_max")
+# small budgets, given only to the commands that read them
+SMALL_FLAGS = {"wl-axioms": ["--budget", "2"], "biv-check": ["--budget", "2"],
+               "mean": ["--n-max", "3"], "addition": ["--n-max", "3"]}
 
 
 def _nodes(value, path=()):
@@ -78,8 +81,9 @@ def test_mutated_scenario_exits_cleanly(name, data):
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(mutant))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run([SCENARIO_COMMANDS[name], "--scenario", str(path), "--format", "json",
-                        "--budget", "2", "--n-max", "3"])
+            command = SCENARIO_COMMANDS[name]
+            code = run([command, "--scenario", str(path), "--format", "json",
+                        *SMALL_FLAGS.get(command, [])])
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

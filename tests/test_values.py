@@ -58,6 +58,9 @@ def test_ratio_comparisons_exact():
     # log(1)/n is zero
     assert MeanRatio.log_ratio(1, 25).is_zero()
     assert ratio_le(MeanRatio.log_ratio(8, 10), MeanRatio.log_ratio(8, 3))
+    # equal as floats, apart as exact values
+    assert ratio_cmp(MeanRatio.log_ratio(2 ** 1000 + 1, 1000), MeanRatio.log_ratio(2, 1)) == 1
+    assert ratio_cmp(MeanRatio.log_ratio(2 ** 1000 - 1, 1000), MeanRatio.log_ratio(2, 1)) == -1
 
 
 @given(st.integers(2, 50), st.integers(1, 8), st.integers(1, 8))
