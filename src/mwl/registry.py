@@ -168,7 +168,7 @@ def _example_scalar_range_bound(n_max: int, scalar_count: int = 16) -> ExampleRe
             str([str(r.ratio) for r in est.rows[:3]]) + "...",
             f">= {bound}"),
         ExampleCheck(
-            f"counts are {scalar_count}^n (enumerated, then rank-certified)",
+            f"counts are {scalar_count}^n (enumerated, then product-structure)",
             all(r.value.count == scalar_count ** r.n for r in est.rows),
             str([(r.n, r.method) for r in est.rows]),
             f"{scalar_count}^n"),

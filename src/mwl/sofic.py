@@ -32,8 +32,17 @@ from fractions import Fraction
 
 from .intmat import left_kernel
 
-STATE_CAP = 1024       # DFA states; a witness with a larger automaton is enumerated
-_EIGEN_SOLVE_MAX = 64  # component size up to which a Perron vector is solved for exactly
+# DFA states; a witness with a larger automaton is enumerated.  Timed on
+# random witnesses over C2..C5 of width 2..4 (12 rows, one CPU of a 2-vCPU
+# VM): automata of 200-7000 states cost 0.04-2.6 s in all, the enumeration
+# they replace 5-46 s; the power iteration of limit_base grows with the
+# edges and took 16 s at 37-44k states.
+STATE_CAP = 4096
+# Component size up to which a Perron vector is solved for exactly
+# (left_kernel, exact integers): at most 0.05 s up to 64 states on the
+# same witnesses, 0.08-0.6 s at 72-133, and 1-176 s at 149-383, where the
+# entries of the elimination grow.
+_EIGEN_SOLVE_MAX = 64
 _POWER_STEPS = 500
 _TOL = 1e-9
 
@@ -86,11 +95,13 @@ class SubsetAutomaton:
         estimates = [_perron_estimate(rows) for rows in blocks]
         k = round(max((lo + hi) / 2 for lo, hi, _ in estimates))
         attained = False
-        for rows, (_, hi, x) in zip(blocks, estimates):
+        for rows, (lo, hi, x) in zip(blocks, estimates):
             if hi < k - _TOL:
                 v = _common_integers(x)
                 if not all(mv < k * vi for mv, vi in zip(_times(rows, v), v)):
                     return None
+            elif lo > k + _TOL:
+                return None  # a radius above k: lambda is not an integer
             else:
                 v = _perron_vector(rows, k)
                 if v is None or _times(rows, v) != [k * vi for vi in v]:

@@ -363,3 +363,16 @@ def test_unwritable_out_path_exits_1(capsys, tmp_path):
                                    "--out", str(target)])
     assert err.startswith(f"error: --out: cannot write {target}")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mean", "--n-max", "100000"],
+    ["addition", "--scenario", str(SCENARIOS / "addition-z4.json"), "--n-max", "1001"],
+    ["example", "z2-vs-z3", "--n-max", "100000"],
+], ids=lambda argv: argv[0])
+def test_n_max_above_the_limit_exits_1(capsys, tmp_path, argv):
+    if argv[0] == "mean":
+        # {0, delta_0, delta_1} over C4: sofic rows, never truncated
+        witness = [[], [[[0], [1]]], [[[1], [1]]]]
+        argv = argv + ["--scenario", write_scenario(tmp_path, c4_mean_scenario(witness))]
+    assert "n_max must lie in 1..1000" in _one_error_line(capsys, argv)

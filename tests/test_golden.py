@@ -34,7 +34,7 @@ GOLDEN = {
     "example:addition-coeff-z4": (0, "52b06cd67a5256c9d35ef7c77fd0f2e1295b6009ddbcf8920c2de7e6009547e7"),
     "example:addition-principal-z2": (0, "d06f6acdb3654f56e852af6e600ad494046293653e5ed58e0eea440d945f5c95"),
     "example:quotient-action-zero": (0, "3f67d6d2cbdb1371626703e18b611b6c3878ae7e6d08735da4d57289d9d81aa8"),
-    "example:scalar-range-bound": (0, "fca7030955537f765494382c291a297d4af1af29e44a7eaab56d58b7bfe004fd"),
+    "example:scalar-range-bound": (0, "1737bc40230ee712e2c3d4483fa92cc814f1652aa97a34f78b6030b65aabed2a"),
     "example:scalar-range-log-k": (0, "823817b9fa9208b62876aaeb8314532aa3e24854de13663226e4240fd01fabb7"),
     "example:single-generator-zero": (0, "4682593da0c80388b8ad7f38d28e3d6a2a407f92db456683ee31419babecf13e"),
     "example:torsion-nonadditive": (0, "b2f5a88e58cdecd7fb2ed89b99add42356324227cff9d09a5043a0a428a97757"),

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwl import sofic, subsets
-from mwl.errors import SetSizeLimitError
+from mwl.errors import DomainError, SetSizeLimitError
 from mwl.finabelian import FinAbGroup
 from mwl.groupring import ShiftModule, orbit_sum
-from mwl.meanlen import FolnerBoxes, ratio_sequence
+from mwl.meanlen import N_MAX_LIMIT, FolnerBoxes, ratio_sequence
 from mwl.subsets import FiniteSubset
 from mwl.weaklength import LOG_CARD, tors_log
 
@@ -85,6 +85,13 @@ def test_full_shape_certified_with_a_thousand_rows():
     assert str(est.limit.ratio) == "log 2"
 
 
+def test_n_max_is_bounded():
+    # sofic rows are never truncated, so the row count itself is bounded
+    FolnerBoxes(Z, N_MAX_LIMIT)
+    with pytest.raises(DomainError, match="n_max must lie in"):
+        FolnerBoxes(Z, N_MAX_LIMIT + 1)
+
+
 def test_golden_ratio_growth_gets_exact_rows_and_no_certificate():
     m, a = _three_points(3)
     est = ratio_sequence(m, a, LOG_CARD, FolnerBoxes(Z, 10))
@@ -111,6 +118,7 @@ def test_integer_radius_with_uneven_out_degrees_is_solved_exactly(windows):
     (((0, 0, 1), (1, 1)), 2),     # two components attain 2
     (((1, 1), (0, 2), (2, 2, 2)), 3),  # a 2-cycle of radius sqrt 2 below 3
     (((0, 1), (1, 2), (1,)), None),  # radius (1 + sqrt 5) / 2
+    (((0, 0, 1), (0,)), None),    # radius 1 + sqrt 2, above its rounding 2
 ])
 def test_limit_base_on_small_automata(edges, base):
     assert sofic.SubsetAutomaton((1,) * len(edges), edges).limit_base() == base
