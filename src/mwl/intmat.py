@@ -1,9 +1,10 @@
 """Exact integer matrix kernels: Smith and Hermite forms, lattice solving.
 
-Everything here works on plain lists of Python ints, so all values stay
-exact at any magnitude.  Matrices are row-major and lattices are spanned
-by rows; a "transform" is always a unimodular matrix acting on the left
-or right.
+Everything here works on plain Python ints, so all values stay exact at
+any magnitude.  Matrices are row-major lists and lattices are spanned by
+rows; a "transform" is always a unimodular matrix acting on the left or
+right.  EchelonLattice grows one echelon basis vector by vector, with no
+transform, for callers that only need the rank and the index it gives.
 """
 
 from __future__ import annotations
@@ -239,3 +240,117 @@ def lattice_intersection(rows_a, rows_b, dim: int) -> list[list[int]]:
         if any(vec):
             inter.append(vec)
     return row_basis(inter)
+
+
+def exponent_sum(n: int) -> int:
+    """Number of prime factors of n >= 1, counted with multiplicity."""
+    total = 0
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            total += 1
+        p += 1 if p == 2 else 2
+    if n > 1:
+        total += 1
+    return total
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
+
+
+class EchelonLattice:
+    """Echelon basis of L + R in Z^columns, grown one vector at a time.
+
+    Columns are named by sortable keys and added lazily, each with a
+    modulus: a torsion order t >= 2, whose relation t*e_c joins R, or 0
+    for a free column.  L is spanned by the inserted vectors, so
+    (L + R)/R is the subgroup they generate in the product of the
+    columns' groups.  Rows are sparse {column: entry} dicts, one per
+    pivot column (the row's smallest key).
+
+    `insert` eliminates pivot by pivot (Cohen 1993, section 2.4): a
+    pivot that does not divide the incoming entry is replaced by their
+    gcd through a unimodular 2x2 step, so every pivot is positive.
+    Torsion entries are kept in [0, t) by the relations, and a row that
+    enters the basis has its entries above later pivots reduced into
+    [0, pivot), so entries stay bounded.
+    """
+
+    def __init__(self):
+        self._moduli = {}  # column -> torsion order, or 0 when free
+        self._rows = {}    # pivot column -> row
+        self._torsion_columns = 0
+        # exponent_sum of prod(t_c / p_c) over the torsion columns: with
+        # free_rank 0 the subgroup has order prod(t_c) / prod(p_c)
+        self.omega = 0
+
+    @property
+    def free_rank(self) -> int:
+        """Rank of (L + R)/R: every torsion column holds one pivot."""
+        return len(self._rows) - self._torsion_columns
+
+    def column(self, key, modulus: int):
+        """Add the column `key` with its modulus unless present; return key."""
+        if key not in self._moduli:
+            self._moduli[key] = modulus
+            if modulus:
+                self._torsion_columns += 1
+                self._rows[key] = {key: modulus}
+        return key
+
+    def _combine(self, u, a, w, b):
+        """a*u + b*w with torsion entries reduced."""
+        moduli = self._moduli
+        out = {}
+        for k in u.keys() | w.keys():
+            x = a * u.get(k, 0) + b * w.get(k, 0)
+            if moduli[k]:
+                x %= moduli[k]
+            if x:
+                out[k] = x
+        return out
+
+    def _install(self, c, row):
+        """Make row the basis row of pivot c after reducing it above later pivots."""
+        rows = self._rows
+        d = c
+        while True:
+            later = [k for k in row if k > d and k in rows and not 0 <= row[k] < rows[k][k]]
+            if not later:
+                break
+            d = min(later)
+            row = self._combine(row, 1, rows[d], -(row[d] // rows[d][d]))
+        rows[c] = row
+
+    def insert(self, vec) -> None:
+        """Add the vector {column: entry} (columns added beforehand) to L."""
+        v = self._combine(vec, 1, {}, 0)
+        rows = self._rows
+        while v:
+            c = min(v)
+            a = v[c]
+            row = rows.get(c)
+            if row is None:
+                self._install(c, v if a > 0 else self._combine(v, -1, {}, 0))
+                return
+            p = row[c]
+            if a % p == 0:
+                v = self._combine(v, 1, row, -(a // p))
+                continue
+            g, x, y = _xgcd(p, a)
+            pivot_row = self._combine(row, x, v, y)
+            v = self._combine(v, p // g, row, -(a // g))
+            if self._moduli[c]:
+                self.omega += exponent_sum(p // g)
+            self._install(c, pivot_row)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .finabelian import FinAbGroup, direct_sum, subgroup_generated
+from .intmat import EchelonLattice
 from .sampling import (
     XorShift64Star,
     kernel_elements,
@@ -90,18 +91,18 @@ def tors_log(k: int) -> WeakLengthSpec:
     return WeakLengthSpec("tors_log", k)
 
 
-def _exponent_sum(n: int) -> int:
-    # total prime multiplicity of n; fine for invariant factors at desk scale
-    total = 0
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            n //= p
-            total += 1
-        p += 1 if p == 2 else 2
-    if n > 1:
-        total += 1
-    return total
+def span_length(spec: WeakLengthSpec, lattice: EchelonLattice) -> LengthValue:
+    """rank or nu of the subgroup (L + R)/R that an echelon lattice holds.
+
+    nu is the composition length, the number of prime factors of the
+    subgroup's order, which is the sum of the elementary-divisor
+    exponents; +inf when the subgroup has a free part.
+    """
+    if spec.kind == "rank":
+        return LengthValue.rational(lattice.free_rank)
+    if lattice.free_rank:
+        return LengthValue.infinity()
+    return LengthValue.rational(lattice.omega)
 
 
 def eval_weak_length(spec: WeakLengthSpec, g: FinAbGroup, a: FiniteSubset) -> LengthValue:
@@ -121,14 +122,15 @@ def eval_weak_length(spec: WeakLengthSpec, g: FinAbGroup, a: FiniteSubset) -> Le
                 f"set meets no {spec.k}-torsion; the torsion length is undefined here")
         return LengthValue.log_count(count)
 
-    span, _ = subgroup_generated(g, list(a))
-    if spec.kind == "rank":
-        return LengthValue.rational(span.free_rank)
-    if spec.kind == "nu":
-        if span.free_rank:
-            return LengthValue.infinity()
-        return LengthValue.rational(sum(_exponent_sum(t) for t in span.torsion))
+    if spec.length_induced:
+        lattice = EchelonLattice()
+        moduli = g.torsion + (0,) * g.free_rank
+        for x in a.items:
+            lattice.insert({lattice.column(i, moduli[i]): v for i, v in enumerate(x) if v})
+        return span_length(spec, lattice)
+
     # gen: free rank plus number of invariant factors
+    span, _ = subgroup_generated(g, list(a))
     return LengthValue.rational(span.free_rank + len(span.torsion))
 
 

@@ -1,0 +1,130 @@
+"""The echelon lattice behind rank and nu, against the Smith-form path.
+
+`eval_weak_length` and the span rows of `ratio_sequence` read rank and nu
+off one incrementally grown `EchelonLattice`.  The reference here is the
+slow exact path: `subgroup_generated` (Hermite and Smith forms) for the
+free rank and the invariant factors, with nu the sum of their prime
+exponents.
+"""
+
+import math
+import time
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mwl.finabelian import FinAbGroup, subgroup_generated
+from mwl.groupring import ShiftModule, embed_subset, orbit_sum
+from mwl.intmat import EchelonLattice, exponent_sum
+from mwl.meanlen import N_MAX_LIMIT, FolnerBoxes, ratio_sequence
+from mwl.subsets import FiniteSubset
+from mwl.weaklength import NU, RANK, eval_weak_length
+
+Z = FinAbGroup.free(1)
+
+
+def _snf_values(g, elements):
+    """(rank, nu) of the subgroup the elements generate, through the SNF."""
+    span, _ = subgroup_generated(g, elements)
+    nu = math.inf if span.free_rank else sum(exponent_sum(t) for t in span.torsion)
+    return span.free_rank, nu
+
+
+def _lattice_values(g, elements):
+    a = FiniteSubset.of(g, elements)
+    nu = eval_weak_length(NU, g, a)
+    return (eval_weak_length(RANK, g, a).q,
+            math.inf if nu.is_infinite() else nu.q)
+
+
+def test_exponent_sum():
+    assert [exponent_sum(n) for n in (1, 2, 4, 12, 97, 2 ** 40 * 9)] == [0, 1, 2, 3, 1, 42]
+
+
+def test_gcd_steps_keep_pivots_positive():
+    # free columns: -6 enters as the pivot 6, then 10 and -15 take it to 1
+    # through two gcd steps
+    lat = EchelonLattice()
+    lat.insert({lat.column(0, 0): -6, lat.column(1, 0): 5})
+    assert lat._rows[0] == {0: 6, 1: -5}
+    for v in (10, -15):
+        lat.insert({lat.column(0, 0): v})
+    assert lat.free_rank == 2 and lat._rows[0][0] == 1
+    # torsion column of C8: <6> has order 4, then <6, 4> is still <2>
+    lat = EchelonLattice()
+    lat.insert({lat.column("c", 8): -2 * 3})
+    assert lat.free_rank == 0 and lat.omega == 2 and lat._rows["c"] == {"c": 2}
+    lat.insert({lat.column("c", 8): 4})
+    assert lat.omega == 2
+    # C12: 8 and 9 generate the whole group, a gcd step from 4 to 1
+    lat = EchelonLattice()
+    for v in (8, 9):
+        lat.insert({lat.column(0, 12): v})
+    assert lat.omega == exponent_sum(12)
+
+
+def test_rows_entering_the_basis_are_reduced_above_later_pivots():
+    lat = EchelonLattice()
+    lat.insert({lat.column(1, 0): 3})
+    lat.insert({lat.column(0, 0): 1, 1: -7})
+    assert lat._rows[0] == {0: 1, 1: 2}
+
+
+# canonical groups with a mix of torsion and free parts (0 is a copy of Z)
+groups = st.lists(st.sampled_from([0, 0, 2, 3, 4, 6, 9, 12]), min_size=1, max_size=3).map(
+    lambda factors: FinAbGroup.of(*factors))
+
+
+@st.composite
+def generating_sets(draw):
+    g = draw(groups)
+    coords = st.lists(st.integers(-12, 12), min_size=g.ambient_dim, max_size=g.ambient_dim)
+    return g, [g.element(c) for c in draw(st.lists(coords, min_size=1, max_size=5))]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(generating_sets())
+@example((FinAbGroup.free(2), [FinAbGroup.free(2).element(c)
+                               for c in ([4, 6], [6, 9], [-10, 3])]))
+@example((FinAbGroup((12,), 1), [FinAbGroup((12,), 1).element(c)
+                                 for c in ([8, -4], [9, 6], [0, -2])]))
+@example((FinAbGroup((2,), 1), [FinAbGroup((2,), 1).element(c)
+                                for c in ([1, -3], [1, 5])]))
+def test_lattice_matches_subgroup_generated(case):
+    g, elements = case
+    assert _lattice_values(g, elements) == _snf_values(g, elements)
+
+
+def test_principal_quotient_span_rows_match_snf_of_rebuilt_orbit_sums():
+    # F2[t, 1/t] / (1 + t + t^3): the span rows stop growing at 3 = |slots|
+    m2 = ShiftModule(Z, FinAbGroup.of(2))
+    f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
+    quot = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))
+    seq = FolnerBoxes(Z, 6)
+    for elements in ([quot.zero(), quot.delta([1])],
+                     [quot.zero(), quot.delta([1]) + quot.delta([1], at=(2,))]):
+        a = FiniteSubset.of(quot, elements)
+        rank = ratio_sequence(quot, a, RANK, seq)
+        nu = ratio_sequence(quot, a, NU, seq)
+        for n in range(1, seq.n_max + 1):
+            ambient, embedded = embed_subset(orbit_sum(a, seq.box(n)))
+            ref_rank, ref_nu = _snf_values(ambient, list(embedded))
+            assert rank.rows[n - 1].value.q == ref_rank == 0
+            assert nu.rows[n - 1].value.q == ref_nu
+        assert nu.rows[-1].value.q == 3
+
+
+def test_span_tables_reach_n_max_limit():
+    # {0, d0 + 2 d1, 2 d0 + d2}: rank over Z is n + 2 and nu over C4 is
+    # 2n + 4 on every row n >= 2
+    for coeff, spec, row in ((FinAbGroup.free(1), RANK, lambda n: n + 2),
+                             (FinAbGroup.of(4), NU, lambda n: 2 * n + 4)):
+        m = ShiftModule(Z, coeff)
+        a = FiniteSubset.of(m, [m.zero(), m.element([((0,), (1,)), ((1,), (2,))]),
+                                m.element([((0,), (2,)), ((2,), (1,))])])
+        start = time.perf_counter()
+        est = ratio_sequence(m, a, spec, FolnerBoxes(Z, N_MAX_LIMIT))
+        elapsed = time.perf_counter() - start
+        assert [r.value.q for r in est.rows[1:]] == [row(n) for n in range(2, N_MAX_LIMIT + 1)]
+        assert est.fekete_ok
+        assert elapsed < 1.0, f"{spec} table took {elapsed:.2f} s"
