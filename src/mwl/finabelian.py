@@ -132,6 +132,13 @@ class FinAbGroup:
     def _element_of_item(self, item) -> "AbElement":
         return AbElement(self, item)
 
+    @property
+    def _moduli(self) -> tuple[int, ...]:
+        return self.torsion + (0,) * self.free_rank
+
+    def _terms(self, item):
+        return (((), item),)
+
     def __str__(self):
         parts = [f"C{t}" for t in self.torsion] + ["Z"] * self.free_rank
         return " + ".join(parts) if parts else "0"

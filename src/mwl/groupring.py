@@ -43,7 +43,6 @@ __all__ = [
     "coeff_quotient",
     "principal_quotient",
     "embed_subset",
-    "residue_slots",
 ]
 
 
@@ -195,6 +194,13 @@ class ShiftModule:
     def _element_of_item(self, item) -> "GRElement":
         return GRElement(self, item)
 
+    @property
+    def _moduli(self) -> tuple[int, ...]:
+        return self.coeff._moduli
+
+    def _terms(self, item):
+        return item
+
     def action_shift(self, s: AbElement) -> tuple[int, ...]:
         """Support translation realized by an acting group element."""
         if s.group != self.group:
@@ -338,19 +344,6 @@ def principal_quotient(m: ShiftModule, generators):
     return target, project
 
 
-def residue_slots(module: ShiftModule) -> list[tuple[int, int]]:
-    """(coefficient coordinate, degree) of every monomial a normal form of
-    a principal quotient module can carry; the quotient must be finite."""
-    stair = module._staircase
-    if not stair.is_finite_quotient:
-        raise ConfigurationError("embedding needs a finite quotient")
-    degs = {}
-    for row in stair.rows:
-        pos = stair._pivot(row)
-        degs[pos] = len(row[pos]) - 1
-    return [(pos, d) for pos in range(len(module.coeff.torsion)) for d in range(degs[pos])]
-
-
 def embed_subset(a: FiniteSubset):
     """Embed a finite set of module elements into one abelian group.
 
@@ -362,9 +355,16 @@ def embed_subset(a: FiniteSubset):
     """
     module = a.ambient
     if module.quotient is not None:
+        stair = module._staircase
+        if not stair.is_finite_quotient:
+            raise ConfigurationError("embedding needs a finite quotient")
         p = module.coeff.torsion[0]
         k = len(module.coeff.torsion)
-        slots = residue_slots(module)
+        degs = {}
+        for row in stair.rows:
+            pos = stair._pivot(row)
+            degs[pos] = len(row[pos]) - 1
+        slots = [(pos, d) for pos in range(k) for d in range(degs[pos])]
         index = {s: i for i, s in enumerate(slots)}
         ambient = FinAbGroup((p,) * len(slots), 0)
         elems = []

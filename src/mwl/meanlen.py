@@ -41,13 +41,7 @@ from itertools import product as iproduct
 from . import sofic
 from .errors import ConfigurationError, DomainError, SetSizeLimitError
 from .finabelian import INFINITE, AbElement, FinAbGroup
-from .groupring import (
-    ShiftModule,
-    embed_subset,
-    gr_translate,
-    orbit_sum,
-    residue_slots,
-)
+from .groupring import ShiftModule, gr_translate, orbit_sum
 from .intmat import EchelonLattice
 from .subsets import FiniteSubset, minkowski_sum
 from .values import (
@@ -62,7 +56,7 @@ from .values import (
     value_cmp,
     value_le,
 )
-from .weaklength import WeakLengthSpec, eval_weak_length, span_length
+from .weaklength import WeakLengthSpec, eval_weak_length, span_insert, span_length
 
 DEFAULT_N_MAX_BUDGET = 4096  # coefficient_card ** n_max stays near this
 # Largest n_max.  Sofic rows are never truncated, and their Fekete checks
@@ -262,24 +256,11 @@ def _scalar_multiples_witness(module: ShiftModule, a: FiniteSubset) -> bool:
         return False
     if module.support_group.torsion:
         return False
-    modulus = coeff.torsion[0] if coeff.torsion else 0
-    points = sorted({g for item in a.items for g, _ in item})
-    index = {g: i for i, g in enumerate(points)}
-    vectors = []
-    for item in a.items:
-        vec = [0] * len(points)
-        for g, c in item:
-            vec[index[g]] = c[0]
-        vectors.append(vec)
-    # rank <= 1: all 2x2 minors vanish (mod p when coefficients are Z/p)
-    for x in vectors:
-        for y in vectors:
-            for i in range(len(points)):
-                for j in range(i + 1, len(points)):
-                    minor = x[i] * y[j] - x[j] * y[i]
-                    if (minor % modulus) if modulus else minor:
-                        return False
-    return True
+    # one nonzero element up to scalars: a span of rank <= 1 over Z, or
+    # of dimension <= 1 over F_p (omega counts its dimension)
+    lattice = EchelonLattice()
+    span_insert(lattice, module, a.items)
+    return lattice.free_rank + lattice.omega <= 1
 
 
 def _scaled_value(v: LengthValue, size: int) -> LengthValue:
@@ -292,58 +273,7 @@ def _scaled_value(v: LengthValue, size: int) -> LengthValue:
 
 def eval_module_subset(spec: WeakLengthSpec, subset: FiniteSubset) -> LengthValue:
     """Evaluate a weak length on a finite set of module elements."""
-    if spec.kind == "log_card":
-        return LengthValue.log_count(len(subset))
-    if spec.kind == "tors_log":
-        # coefficient-wise test on raw items; scaling keeps canonical
-        # residues canonical, so no renormalization is needed
-        coeff = subset.ambient.coeff
-        torsion, width = coeff.torsion, coeff.ambient_dim
-        k = spec.k
-        count = 0
-        for item in subset.items:
-            for _, c in item:
-                for i in range(width):
-                    v = k * c[i]
-                    if (v % torsion[i]) if i < len(torsion) else v:
-                        break
-                else:
-                    continue
-                break
-            else:
-                count += 1
-        if count == 0:
-            raise DomainError("set meets no k-torsion")
-        return LengthValue.log_count(count)
-    if spec.length_induced:
-        lattice = _span_lattice(subset.ambient)
-        _span_insert(lattice, subset.ambient, subset.items)
-        return span_length(spec, lattice)
-    ambient, embedded = embed_subset(subset)
-    return eval_weak_length(spec, ambient, embedded)
-
-
-def _span_lattice(module: ShiftModule) -> EchelonLattice:
-    """An empty lattice for the span of module elements.
-
-    Its columns are (support point, coefficient coordinate) pairs, added
-    as elements reach them.  A principal quotient keeps its normal forms
-    in the residue slots of its staircase, so those columns are added
-    up front.
-    """
-    lattice = EchelonLattice()
-    if module.quotient is not None:
-        p = module.coeff.torsion[0]
-        for pos, d in residue_slots(module):
-            lattice.column(((d,), pos), p)
-    return lattice
-
-
-def _span_insert(lattice: EchelonLattice, module: ShiftModule, items) -> None:
-    moduli = module.coeff.torsion + (0,) * module.coeff.free_rank
-    for x in items:
-        lattice.insert({lattice.column((g, i), moduli[i]): v
-                        for g, c in x for i, v in enumerate(c) if v})
+    return eval_weak_length(spec, subset.ambient, subset)
 
 
 def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
@@ -418,10 +348,10 @@ def _enumerated_values(a: FiniteSubset, spec: WeakLengthSpec, seq: FolnerBoxes,
     or the table ends.
     """
     if spec.length_induced and a.contains_zero():
-        lattice = _span_lattice(a.ambient)
+        lattice = EchelonLattice()
         for n in range(1, seq.n_max + 1):
             for s in seq.shell(n):
-                _span_insert(lattice, a.ambient, gr_translate(-s, a).items)
+                span_insert(lattice, a.ambient, gr_translate(-s, a).items)
             yield span_length(spec, lattice), "enumerated"
         return
     orbit = None  # A^[F_(n-1)]
@@ -545,7 +475,11 @@ def addition_report(m2: ShiftModule, quotient,
     so its table is the submodule's own mean data computed inside the
     ambient module.  The quotient witness is given as a lift in the total
     module and pushed through the projection.  The easy direction
-    l((B+B1)^[F]) >= l(B^[F]) + l(C^[F]) is checked exactly row by row.
+    l((B+B1)^[F]) >= l(B^[F]) + l(C^[F]) is checked exactly row by row;
+    the rows end at the first row of B + B1 past the set cap or at the
+    end of the submodule or quotient table.  B + B1 holds a translate of
+    B and maps onto C, so where all three orbit sums are enumerated,
+    those of B + B1 reach the cap first.
     """
     quot, project = quotient
     for x in witness_submodule:
@@ -558,24 +492,16 @@ def addition_report(m2: ShiftModule, quotient,
     est_sub = ratio_sequence(m2, witness_submodule, spec, seq)
     est_quot = ratio_sequence(quot, pushed, spec, seq)
 
-    # easy direction on the combined witness A = B + B1
+    # easy direction on the combined witness A = B + B1, row by row
+    # against the two tables just computed; they come first in zip, so
+    # no row past the end of either is enumerated for A
     combined = minkowski_sum(witness_submodule, witness_quotient_lift)
-    witnesses = (combined, witness_submodule, pushed)
-    orbits = [None] * len(witnesses)
     easy_rows = []
     easy_ok = True
-    for n in range(1, seq.n_max + 1):
-        shell = seq.shell(n)
-        vals = []
-        try:
-            for i, w in enumerate(witnesses):
-                orbits[i] = orbit_sum(w, shell, orbits[i])
-                vals.append(eval_module_subset(spec, orbits[i]))
-        except SetSizeLimitError:
-            break
-        a_val, b_val, c_val = vals
-        parts = value_add(b_val, c_val)
-        easy_rows.append((n, a_val, parts))
+    for sub_row, quot_row, (a_val, _) in zip(
+            est_sub.rows, est_quot.rows, _enumerated_values(combined, spec, seq, None)):
+        parts = value_add(sub_row.value, quot_row.value)
+        easy_rows.append((sub_row.n, a_val, parts))
         if not value_le(parts, a_val):
             easy_ok = False
 

@@ -3,8 +3,11 @@
 A subset stores canonical item representations (plain nested tuples), so
 set arithmetic runs on hashable data at native speed; rich elements are
 materialized only on iteration.  The ambient object supplies the item
-algebra through the _zero_item/_add_items/_neg_item/_element_of_item
-protocol, which both FinAbGroup and ShiftModule implement.
+protocol, which both FinAbGroup and ShiftModule implement: the algebra
+_zero_item/_add_items/_neg_item/_element_of_item, and the coordinate
+view that weak lengths read, _moduli (the torsion order of each
+coefficient coordinate, 0 when free) and _terms (an item as (point,
+coefficient coordinates) pairs; a group item is one pair at point ()).
 
 Minkowski sums grow multiplicatively, so every constructor enforces a
 hard cap and fails loudly instead of thrashing.

@@ -1,4 +1,5 @@
-"""Built-in weak length functions on finite subsets of abelian groups.
+"""Built-in weak length functions on finite subsets of abelian groups
+and of shift modules.
 
 Five selectors are provided:
 
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .finabelian import FinAbGroup, direct_sum, subgroup_generated
+from .groupring import embed_subset
 from .intmat import EchelonLattice
 from .sampling import (
     XorShift64Star,
@@ -105,10 +107,27 @@ def span_length(spec: WeakLengthSpec, lattice: EchelonLattice) -> LengthValue:
     return LengthValue.rational(lattice.omega)
 
 
-def eval_weak_length(spec: WeakLengthSpec, g: FinAbGroup, a: FiniteSubset) -> LengthValue:
-    """Evaluate a built-in weak length on a nonempty subset of g."""
-    if a.ambient != g:
-        raise DomainError("subset does not live in the given group")
+def span_insert(lattice: EchelonLattice, ambient, items) -> None:
+    """Add items of a group or module to the lattice of their span.
+
+    Columns are (support point, coordinate) pairs with the coordinate's
+    torsion order as modulus; a group item sits at the one point ().
+    """
+    moduli, terms, column = ambient._moduli, ambient._terms, lattice.column
+    for x in items:
+        lattice.insert({column((g, i), moduli[i]): v
+                        for g, c in terms(x) for i, v in enumerate(c) if v})
+
+
+def eval_weak_length(spec: WeakLengthSpec, ambient, a: FiniteSubset) -> LengthValue:
+    """Evaluate a built-in weak length on a nonempty subset of a group or
+    of a shift module.
+
+    Items are read through the ambient's coordinate view (`_moduli`,
+    `_terms`); only `gen` embeds a module subset into a group first.
+    """
+    if a.ambient != ambient:
+        raise DomainError("subset does not live in the given group or module")
     if len(a) == 0:
         raise DomainError("weak lengths are defined on nonempty sets")
 
@@ -116,7 +135,21 @@ def eval_weak_length(spec: WeakLengthSpec, g: FinAbGroup, a: FiniteSubset) -> Le
         return LengthValue.log_count(len(a))
 
     if spec.kind == "tors_log":
-        count = sum(1 for x in a if (spec.k * x).is_zero())
+        # an item is k-torsion when every coefficient tuple is; many items
+        # share their coefficient tuples, so each verdict is kept
+        k, moduli, terms = spec.k, ambient._moduli, ambient._terms
+        verdicts = {}
+        count = 0
+        for x in a.items:
+            for _, c in terms(x):
+                ok = verdicts.get(c)
+                if ok is None:
+                    ok = verdicts[c] = not any(k * v % m if m else v
+                                               for v, m in zip(c, moduli))
+                if not ok:
+                    break
+            else:
+                count += 1
         if count == 0:
             raise DomainError(
                 f"set meets no {spec.k}-torsion; the torsion length is undefined here")
@@ -124,13 +157,13 @@ def eval_weak_length(spec: WeakLengthSpec, g: FinAbGroup, a: FiniteSubset) -> Le
 
     if spec.length_induced:
         lattice = EchelonLattice()
-        moduli = g.torsion + (0,) * g.free_rank
-        for x in a.items:
-            lattice.insert({lattice.column(i, moduli[i]): v for i, v in enumerate(x) if v})
+        span_insert(lattice, ambient, a.items)
         return span_length(spec, lattice)
 
     # gen: free rank plus number of invariant factors
-    span, _ = subgroup_generated(g, list(a))
+    if not isinstance(ambient, FinAbGroup):
+        ambient, a = embed_subset(a)
+    span, _ = subgroup_generated(ambient, list(a))
     return LengthValue.rational(span.free_rank + len(span.torsion))
 
 

@@ -79,6 +79,13 @@ def _snf_span_value(spec, subset):
     return LengthValue.rational(sum(exponent_sum(t) for t in span.torsion))
 
 
+def _span_ref(spec, a, seq, n):
+    """rank or nu of A^[F_n] for 0 in A: the span of the union of the
+    translates over the whole box, through the Smith-form path."""
+    translates = frozenset().union(*(gr_translate(-s, a).items for s in seq.box(n)))
+    return _snf_span_value(spec, FiniteSubset(a.ambient, translates))
+
+
 def _check_table(module, a, spec, seq):
     est = ratio_sequence(module, a, spec, seq)
     use_span = spec.length_induced and a.contains_zero()
@@ -88,11 +95,8 @@ def _check_table(module, a, spec, seq):
             # the span path never materializes the orbit sum, so it also
             # has rows past the cap; those compare with the union of the
             # translates over the whole box
-            translates = frozenset().union(*(gr_translate(-s, a).items
-                                             for s in seq.box(row.n)))
-            span_ref = _snf_span_value(spec, FiniteSubset(module, translates))
             assert row.method == "enumerated"
-            assert value_cmp(row.value, span_ref) == 0
+            assert value_cmp(row.value, _span_ref(spec, a, seq, row.n)) == 0
             assert ref is None or value_cmp(row.value, ref) == 0
         elif row.method == "enumerated":
             assert ref is not None and value_cmp(row.value, ref) == 0
@@ -199,10 +203,56 @@ def test_easy_rows_match_rebuilt_orbit_sums(low_cap, case):
     pushed = FiniteSubset.of(quot, [project(x) for x in lift])
     expected = _easy_rows_rebuilt(LOG_CARD, minkowski_sum(sub, lift), sub, pushed, seq)
     assert len(expected) < seq.n_max  # the lowered cap stops the easy rows
+    # 0 is in B and in B1, so B + B1 contains both parts and reaches the
+    # cap first: the rows end where all three rebuilt orbit sums still fit
     assert len(report.easy_rows) == len(expected)
     for (n, a_val, parts), (n_ref, a_ref, parts_ref) in zip(report.easy_rows, expected):
         assert n == n_ref
         assert value_cmp(a_val, a_ref) == 0 and value_cmp(parts, parts_ref) == 0
+
+
+def _z4_addition(sub_elements, lift_elements, spec, seq):
+    """Addition report over C4 with N = 2C4, and B + B1."""
+    m2 = ShiftModule(Z, FinAbGroup.of(4))
+    sub = FiniteSubset.of(m2, sub_elements(m2))
+    lift = FiniteSubset.of(m2, lift_elements(m2))
+    total = FiniteSubset.of(m2, [m2.delta([c]) for c in range(4)])
+    report = addition_report(m2, coeff_quotient(m2, [[2]]), sub, total, lift, spec, seq)
+    return report, minkowski_sum(sub, lift)
+
+
+def _check_easy_parts(report):
+    for (n, _, parts), sub_row, quot_row in zip(
+            report.easy_rows, report.submodule.rows, report.quotient.rows):
+        assert n == sub_row.n == quot_row.n
+        assert value_cmp(parts, value_add(sub_row.value, quot_row.value)) == 0
+
+
+def test_nu_easy_rows_reach_n_max_through_the_lattice(low_cap):
+    seq = FolnerBoxes(Z, 10)
+    report, combined = _z4_addition(
+        lambda m: [m.zero(), m.delta([2])],
+        lambda m: [m.zero(), m.delta([1]), m.delta([1], at=(1,))], NU, seq)
+    assert _rebuilt(NU, combined, seq, seq.n_max) is None  # B + B1 passed the cap
+    assert [n for n, _, _ in report.easy_rows] == list(range(1, seq.n_max + 1))
+    for n, a_val, _ in report.easy_rows:
+        assert value_cmp(a_val, _span_ref(NU, combined, seq, n)) == 0
+    _check_easy_parts(report)
+
+
+def test_easy_rows_end_at_the_end_of_the_submodule_table(low_cap):
+    # 0 is not in B, so its nu table is enumerated and ends at the cap;
+    # B + B1 contains 0, so its rows come from the lattice and never cap
+    seq = FolnerBoxes(Z, 10)
+    report, combined = _z4_addition(
+        lambda m: [m.delta([2]), m.delta([2], at=(1,))],
+        lambda m: [m.zero(), m.delta([2])], NU, seq)
+    last = report.submodule.truncated_at - 1
+    assert [n for n, _, _ in report.easy_rows] == list(range(1, last + 1))
+    assert _rebuilt(NU, combined, seq, last) is None  # past the cap of B + B1
+    for n, a_val, _ in report.easy_rows:
+        assert value_cmp(a_val, _span_ref(NU, combined, seq, n)) == 0
+    _check_easy_parts(report)
 
 
 def _spy_on_minkowski(monkeypatch):
