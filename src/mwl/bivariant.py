@@ -49,6 +49,9 @@ from .values import LengthValue, value_add, value_cmp
 from .weaklength import NU, RANK, WeakLengthSpec, eval_weak_length
 
 MAX_COVER_CANDIDATES = 24
+# group order and set size bounds of the upgrading checker's instances
+INSTANCE_MAX_ORDER = 36
+INSTANCE_MAX_SET = 6
 
 
 @dataclass(frozen=True)
@@ -234,17 +237,17 @@ class UpgradingReport:
         return out
 
 
-def _upgrading_instances(seed: int, max_order: int, max_set: int):
+def _upgrading_instances(seed: int):
     rng = XorShift64Star(seed)
     while True:
-        g = random_finite_group(rng, max_order)
-        h = random_finite_group(rng, max_order)
+        g = random_finite_group(rng, INSTANCE_MAX_ORDER)
+        h = random_finite_group(rng, INSTANCE_MAX_ORDER)
         gs = random_finite_group(rng, 9)
         inst = {
             "group": g,
-            "a": random_subset(rng, g, max_set),
-            "b": random_subset(rng, g, max_set),
-            "c": random_subset(rng, g, max_set),
+            "a": random_subset(rng, g, INSTANCE_MAX_SET),
+            "b": random_subset(rng, g, INSTANCE_MAX_SET),
+            "c": random_subset(rng, g, INSTANCE_MAX_SET),
             "phi": random_hom(rng, g, h),
             "iso": random_automorphism(rng, g),
             # small zero-adjoined pairs for the sum and product identities
@@ -259,8 +262,7 @@ def _upgrading_instances(seed: int, max_order: int, max_set: int):
         yield inst
 
 
-def check_upgrading_proper(spec: BivariantSpec, seed: int, budget: int,
-                           max_order: int = 36, max_set: int = 6) -> UpgradingReport:
+def check_upgrading_proper(spec: BivariantSpec, seed: int, budget: int) -> UpgradingReport:
     """Verify the proper-upgrading inequalities on seeded instances.
 
     Per instance: regularity, the triangle inequality, the derived bound
@@ -273,7 +275,7 @@ def check_upgrading_proper(spec: BivariantSpec, seed: int, budget: int,
     """
     if budget < 1:
         raise DomainError("budget must be at least 1")
-    stream = _upgrading_instances(seed, max_order, max_set)
+    stream = _upgrading_instances(seed)
     for index in range(budget):
         witness = _check_upgrading_instance(spec, next(stream))
         if witness is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import scenario
@@ -214,10 +215,16 @@ def run(argv) -> int:
         except OSError as exc:
             print(f"error: --out: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 1
-    if args.format in ("json", "both"):
-        print(payload)
-    if args.format in ("table", "both"):
-        print("\n".join(table))
+    try:
+        if args.format in ("json", "both"):
+            print(payload)
+        if args.format in ("table", "both"):
+            print("\n".join(table))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early.  Point stdout at devnull so the
+        # flush at interpreter exit cannot raise again (Python `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

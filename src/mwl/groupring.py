@@ -30,7 +30,7 @@ from .finabelian import (
     direct_sum_many,
     quotient_group,
 )
-from .laurent import StaircaseBasis, laurent_normal_form
+from .laurent import StaircaseBasis, laurent_normal_form, pnorm
 from .subsets import FiniteSubset, minkowski_sum
 
 __all__ = [
@@ -54,7 +54,11 @@ class ShiftModule:
     onto the support group; without it the group acts on itself.
     `quotient` (optional) holds the generators, as items, of a principal
     submodule over F_p[t, 1/t]; elements are then kept in normal form
-    modulo that submodule.
+    modulo that submodule.  An item is reduced where it can leave normal
+    form: when it is built (`element`, a projection) and when it is
+    translated.  Sums, negatives and scalar multiples are taken
+    coefficient-wise without reduction, because the normal forms are a
+    fixed F_p-linear complement of the submodule.
     """
 
     group: FinAbGroup                        # the acting group
@@ -82,23 +86,31 @@ class ShiftModule:
     @cached_property
     def _staircase(self) -> StaircaseBasis:
         p = self.coeff.torsion[0] if self.coeff.torsion else 0
+        return StaircaseBasis(p, len(self.coeff.torsion),
+                              [self._vector(items)[0] for items in self.quotient])
+
+    def _vector(self, items):
+        """(vec, low) with t^low * vec the item's Laurent vector and low <= 0;
+        items over infinite cyclic support and prime-field coefficients."""
         k = len(self.coeff.torsion)
-        vectors = []
-        for items in self.quotient:
-            support = {}
-            for gcoords, ccoords in items:
-                for pos in range(k):
-                    if ccoords[pos]:
-                        support[(pos, gcoords[0])] = ccoords[pos]
-            if not support:
-                continue
-            min_deg = min(d for (_, d) in support)
-            width = max(d for (_, d) in support) - min_deg + 1
-            vec = [[0] * width for _ in range(k)]
-            for (pos, d), c in support.items():
-                vec[pos][d - min_deg] = c
-            vectors.append(tuple(tuple(c) for c in vec))
-        return StaircaseBasis(p, k, vectors)
+        if not items:
+            return [()] * k, 0
+        low = min(items[0][0][0], 0)
+        vec = [[0] * (items[-1][0][0] + 1 - low) for _ in range(k)]
+        for (d,), c in items:
+            for pos, v in enumerate(c):
+                vec[pos][d - low] = v
+        return [pnorm(c, self.coeff.torsion[0]) for c in vec], low
+
+    @staticmethod
+    def _items(vec):
+        """The item of the polynomial vector vec (degree 0 at support point 0)."""
+        by_point: dict[tuple, list] = {}
+        for pos, poly in enumerate(vec):
+            for d, c in enumerate(poly):
+                if c:
+                    by_point.setdefault((d,), [0] * len(vec))[pos] = c
+        return tuple(sorted((g, tuple(c)) for g, c in by_point.items()))
 
     # -- elements -------------------------------------------------------
 
@@ -127,19 +139,14 @@ class ShiftModule:
         return self.element([(at, ccoords)])
 
     def _canonical(self, items):
-        if self.quotient is None:
+        """Normal form of an item modulo the principal submodule.
+
+        Called only where an item can leave normal form; a module without
+        a quotient, or a quotient by the zero submodule, keeps every item.
+        """
+        if self.quotient is None or not self._staircase.rows:
             return items
-        k = len(self.coeff.torsion)
-        support = {}
-        for gcoords, ccoords in items:
-            for pos in range(k):
-                if ccoords[pos]:
-                    support[(pos, gcoords[0])] = ccoords[pos]
-        reduced = laurent_normal_form(self._staircase, support, k)
-        by_point: dict[tuple, list] = {}
-        for (pos, d), coeff in reduced.items():
-            by_point.setdefault((d,), [0] * k)[pos] = coeff
-        return tuple(sorted((g, tuple(c)) for g, c in by_point.items()))
+        return self._items(laurent_normal_form(self._staircase, *self._vector(items)))
 
     # -- item protocol for FiniteSubset ----------------------------------
 
@@ -171,11 +178,11 @@ class ShiftModule:
                 j += 1
         merged.extend(x[i:])
         merged.extend(y[j:])
-        return self._canonical(tuple(merged))
+        return tuple(merged)
 
     def _neg_item(self, x):
         neg = self.coeff._neg_item
-        return self._canonical(tuple((g, neg(c)) for g, c in x))
+        return tuple((g, neg(c)) for g, c in x)
 
     def _scale_item(self, k, x):
         coeff = self.coeff
@@ -184,7 +191,7 @@ class ShiftModule:
             scaled = coeff.reduce(tuple(k * v for v in c))
             if any(scaled):
                 out.append((g, scaled))
-        return self._canonical(tuple(out))
+        return tuple(out)
 
     def _translate_item(self, shift_coords, x):
         add = self.support_group._add_items
@@ -223,15 +230,8 @@ class ShiftModule:
     def elements(self):
         """Enumerate a finite module."""
         if self.quotient is not None:
-            k = len(self.coeff.torsion)
             for residue in self._staircase.enumerate_residues():
-                by_point: dict[tuple, list] = {}
-                for pos, poly in enumerate(residue):
-                    for d, c in enumerate(poly):
-                        if c:
-                            by_point.setdefault((d,), [0] * k)[pos] = c
-                yield GRElement(self, tuple(sorted(
-                    (g, tuple(c)) for g, c in by_point.items())))
+                yield GRElement(self, self._items(residue))
             return
         if self.cardinality() == INFINITE:
             raise DomainError("cannot enumerate an infinite module")
@@ -348,35 +348,12 @@ def embed_subset(a: FiniteSubset):
     """Embed a finite set of module elements into one abelian group.
 
     Returns (ambient FinAbGroup, FiniteSubset of its elements).  The
-    embedding is coefficient-wise over the union of supports (or over
-    the residue window for a principal quotient module), is injective
-    and additive, so spans, ranks and torsion counts agree with the
-    module-side set.
+    embedding is coefficient-wise over the union of supports.  It is
+    injective and additive, so spans, ranks and torsion counts agree with
+    the module-side set; in a principal quotient module too, because
+    normal forms add coefficient-wise.
     """
     module = a.ambient
-    if module.quotient is not None:
-        stair = module._staircase
-        if not stair.is_finite_quotient:
-            raise ConfigurationError("embedding needs a finite quotient")
-        p = module.coeff.torsion[0]
-        k = len(module.coeff.torsion)
-        degs = {}
-        for row in stair.rows:
-            pos = stair._pivot(row)
-            degs[pos] = len(row[pos]) - 1
-        slots = [(pos, d) for pos in range(k) for d in range(degs[pos])]
-        index = {s: i for i, s in enumerate(slots)}
-        ambient = FinAbGroup((p,) * len(slots), 0)
-        elems = []
-        for x in a:
-            coords = [0] * len(slots)
-            for g, c in x.items:
-                for pos in range(k):
-                    if c[pos]:
-                        coords[index[(pos, g[0])]] = c[pos]
-            elems.append(ambient.element(coords))
-        return ambient, FiniteSubset.of(ambient, elems)
-
     points = sorted({g for x in a for g, _ in x.items})
     if not points:
         points = [module.support_group.zero().coords]

@@ -4,7 +4,11 @@ Coefficients live in a prime field, and the one-variable module theory
 makes exact reduction cheap: a submodule of F_p[t]^k has an echelon
 basis with one pivot per leading position (position-over-term order),
 and reducing each pivot component of a vector in ascending position
-order is a canonical normal form.
+order is a canonical normal form.  The normal forms are the vectors
+whose pivot components have degree below the pivot's, a fixed F_p-linear
+complement of the submodule, so the normal-form map is F_p-linear: a
+coefficient-wise sum, negative or multiple of normal forms is again a
+normal form, and only multiplication by t can leave the complement.
 
 Submodules of the Laurent module are handled by t-normalizing the
 generators into F_p[t]^k and then t-saturating the polynomial module
@@ -17,12 +21,13 @@ quotient there is no translation-consistent representative and the
 configuration is rejected.
 
 Polynomials are coefficient tuples, lowest degree first, with no
-trailing zeros; () is zero.
+trailing zeros; () is zero.  A Laurent vector is a polynomial vector
+with a degree offset: (vec, low) stands for t^low * vec.
 """
 
 from __future__ import annotations
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 
 def pnorm(coeffs, p):
@@ -272,7 +277,6 @@ class StaircaseBasis:
                 pos = self._pivot(row)
                 degs[pos] = pdeg(row[pos])
             basis = [(pos, d) for pos in range(self.k) for d in range(degs[pos])]
-            index = {m: i for i, m in enumerate(basis)}
             p = self.p
             t_rows = []
             for pos, d in basis:
@@ -281,7 +285,7 @@ class StaircaseBasis:
                 t_rows.append(self._flatten(self.reduce(vec), basis))
             t_matrix = _transpose(t_rows)  # column i is image of basis i
             t_inverse = _fp_invert(t_matrix, p)
-            self._residue_cache = (basis, index, t_matrix, t_inverse, degs)
+            self._residue_cache = (basis, t_matrix, t_inverse, degs)
         return self._residue_cache
 
     def _flatten(self, vec, basis):
@@ -289,7 +293,7 @@ class StaircaseBasis:
 
     def shift_class(self, vec, power: int):
         """Canonical representative of t^power times the class of vec."""
-        basis, _, t_matrix, t_inverse, degs = self._residues()
+        basis, t_matrix, t_inverse, degs = self._residues()
         flat = self._flatten(self.reduce(vec), basis)
         mat = t_matrix if power >= 0 else t_inverse
         for _ in range(abs(power)):
@@ -305,7 +309,7 @@ class StaircaseBasis:
 
     def enumerate_residues(self):
         """All canonical residue vectors of a finite quotient."""
-        basis, _, _, _, degs = self._residues()
+        basis, _, _, degs = self._residues()
         p, k = self.p, self.k
         from itertools import product as iproduct
 
@@ -322,35 +326,14 @@ def _transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def laurent_normal_form(staircase: StaircaseBasis, support: dict, k: int):
-    """Canonical representative of a Laurent vector modulo the submodule.
+def laurent_normal_form(staircase: StaircaseBasis, vec, low: int):
+    """Canonical representative of the Laurent vector t^low * vec modulo
+    the submodule, as a polynomial vector.
 
-    `support` maps (position index, degree) -> coefficient, degrees may
-    be negative.  Returns the same mapping shape for the canonical
-    representative.
+    `vec` is a polynomial vector of length k and low <= 0.  With low == 0
+    this is the remainder of `reduce`; otherwise the class is shifted by
+    t^low on the residue space, which needs a finite quotient.
     """
-    p = staircase.p
-    if not support:
-        return {}
-    min_deg = min(d for (_, d) in support)
-    shift = -min_deg if min_deg < 0 else 0
-    width = max(d for (_, d) in support) + shift + 1
-    vec = [[0] * width for _ in range(k)]
-    for (pos, d), coeff in support.items():
-        vec[pos][d + shift] = coeff % p
-    vec = [pnorm(c, p) for c in vec]
-    if shift == 0:
-        reduced = staircase.reduce(vec)
-    else:
-        if not staircase.rows:
-            reduced = None  # trivial submodule: the element is its own class
-        else:
-            reduced = staircase.shift_class(vec, -shift)
-    if reduced is None:
-        return dict(support)
-    out = {}
-    for pos, poly in enumerate(reduced):
-        for d, coeff in enumerate(poly):
-            if coeff:
-                out[(pos, d)] = coeff
-    return out
+    if low == 0:
+        return staircase.reduce(vec)
+    return staircase.shift_class(vec, low)

@@ -45,6 +45,7 @@ from .groupring import ShiftModule, gr_translate, orbit_sum
 from .intmat import EchelonLattice
 from .subsets import FiniteSubset, minkowski_sum
 from .values import (
+    LOG,
     LengthValue,
     MeanRatio,
     ratio_add,
@@ -395,7 +396,9 @@ def _limit_certificate(module, structural, automaton, first_ratio,
     if structural is not None:
         return CertificateInfo("product-structure", MeanRatio(structural, 1), True)
     if module.cardinality() != INFINITE and module.group.cardinality() == INFINITE:
-        return CertificateInfo("finite-module", MeanRatio(LengthValue.log_count(1), 1), True)
+        zero = (LengthValue.log_count(1) if first_ratio.value.kind == LOG
+                else LengthValue.rational(0))
+        return CertificateInfo("finite-module", MeanRatio(zero, 1), True)
     base = automaton.limit_base() if automaton is not None else None
     if base is not None:
         return CertificateInfo("sofic", MeanRatio(LengthValue.log_count(base), 1), True)

@@ -29,6 +29,7 @@ DEFAULT_SEED = 0x9E3779B97F4A7C15
 
 MAX_GROUP_ORDER = 64
 MAX_SET_SIZE = 8
+AUTOMORPHISM_TRIES = 48  # random homs drawn before falling back to the identity
 
 # group shapes with at most 64 elements, fixed pool for reproducible draws
 _GROUP_SHAPES = (
@@ -108,9 +109,9 @@ def random_hom(rng, source: FinAbGroup, target: FinAbGroup) -> AbHom:
     return AbHom.from_rows(source, target, rows)
 
 
-def random_automorphism(rng, group: FinAbGroup, tries: int = 48) -> AbHom:
+def random_automorphism(rng, group: FinAbGroup) -> AbHom:
     """Random automorphism of a finite group (identity as fallback)."""
-    for _ in range(tries):
+    for _ in range(AUTOMORPHISM_TRIES):
         phi = random_hom(rng, group, group)
         ker, _ = hom_kernel(phi)
         if ker.cardinality() == 1:

@@ -376,3 +376,31 @@ def test_n_max_above_the_limit_exits_1(capsys, tmp_path, argv):
         witness = [[], [[[0], [1]]], [[[1], [1]]]]
         argv = argv + ["--scenario", write_scenario(tmp_path, c4_mean_scenario(witness))]
     assert "n_max must lie in 1..1000" in _one_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("kind", ["rank", "nu"])
+def test_addition_principal_under_span_lengths(capsys, tmp_path, kind):
+    # the finite quotient's limit is the zero of the table's rational kind
+    scenario = _shipped("addition-principal", weak_length={"kind": kind})
+    scenario["folner"]["n_max"] = 4
+    code, out = invoke(capsys, "addition", "--scenario", write_scenario(tmp_path, scenario))
+    assert code == 0
+    result = json_part(out)["result"]
+    assert result["verdict"] == "EXACT-EQUAL"
+    assert result["quotient"]["limit"]["certificate"] == "finite-module"
+
+
+def test_reader_closing_stdout_early_ends_quietly():
+    # 548 KB of output; the reader takes one line and closes the pipe
+    pkg_root = str(Path(mwl.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mwl.cli", "mean", "--scenario",
+         str(SCENARIOS / "z2-shift.json"), "--n-max", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={"PYTHONHASHSEED": "0", "PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root})
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwl.errors import ConfigurationError, DomainError, SetSizeLimitError
-from mwl.finabelian import AbHom, FinAbGroup
+from mwl.finabelian import INFINITE, AbHom, FinAbGroup
 from mwl.groupring import (
     ShiftModule,
     coeff_quotient,
@@ -197,6 +199,39 @@ def test_normal_form_soundness_random():
         # additive and action-equivariant
         s = Z.element([rng.below(5) - 2])
         assert (x + y).translate(s) == x.translate(s) + y.translate(s)
+
+
+def _laurent_element(draw, module, low):
+    """Up to three terms at degrees low..3 with arbitrary coefficients."""
+    p, k = module.coeff.torsion[0], len(module.coeff.torsion)
+    return module.element(
+        [((draw(st.integers(low, 3)),), [draw(st.integers(0, p - 1)) for _ in range(k)])
+         for _ in range(draw(st.integers(1, 3)))])
+
+
+@st.composite
+def normal_form_pairs(draw):
+    """A principal quotient over F2, F3 or F5 with k = 1 or 2 coefficient
+    coordinates, two of its normal forms and a scalar.  One generator for
+    k = 2 leaves an infinite quotient, as does the zero generator."""
+    p, k = draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([1, 2]))
+    plain = ShiftModule(Z, FinAbGroup.of(*[p] * k))
+    generators = [_laurent_element(draw, plain, -2) for _ in range(draw(st.integers(1, k)))]
+    quot, project = principal_quotient(plain, generators)
+    # an infinite quotient has canonical forms only on nonnegative support
+    low = 0 if quot.cardinality() == INFINITE else -3
+    x, y = (project(_laurent_element(draw, plain, low)) for _ in range(2))
+    return quot, x.items, y.items, draw(st.integers(-6, 6))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(normal_form_pairs())
+def test_coefficient_wise_arithmetic_keeps_normal_forms(case):
+    # the normal-form map is F_p-linear, so sums, negatives and multiples
+    # are taken without reduction
+    quot, x, y, c = case
+    for item in (quot._add_items(x, y), quot._neg_item(x), quot._scale_item(c, x)):
+        assert quot._canonical(item) == item
 
 
 def test_normal_form_configuration_errors():
