@@ -28,6 +28,7 @@ with a degree offset: (vec, low) stands for t^low * vec.
 from __future__ import annotations
 
 from .errors import ConfigurationError
+from .intmat import exponent_sum
 
 
 def pnorm(coeffs, p):
@@ -164,7 +165,7 @@ class StaircaseBasis:
     """Echelon basis of a t-saturated submodule of F_p[t]^k."""
 
     def __init__(self, p, k, poly_vectors):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if exponent_sum(p) != 1:
             raise ConfigurationError(f"modulus {p} is not prime")
         self.p = p
         self.k = k

@@ -42,7 +42,7 @@ from . import sofic
 from .errors import ConfigurationError, DomainError, SetSizeLimitError
 from .finabelian import INFINITE, AbElement, FinAbGroup
 from .groupring import ShiftModule, gr_translate, orbit_sum
-from .intmat import EchelonLattice
+from .intmat import EchelonLattice, exponent_sum
 from .subsets import FiniteSubset, minkowski_sum
 from .values import (
     LOG,
@@ -250,8 +250,7 @@ def _scalar_multiples_witness(module: ShiftModule, a: FiniteSubset) -> bool:
     if coeff.ambient_dim != 1:
         return False
     if coeff.torsion:
-        p = coeff.torsion[0]
-        if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if exponent_sum(coeff.torsion[0]) != 1:
             return False
     elif coeff.free_rank != 1:
         return False

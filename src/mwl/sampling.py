@@ -31,7 +31,7 @@ MAX_GROUP_ORDER = 64
 MAX_SET_SIZE = 8
 AUTOMORPHISM_TRIES = 48  # random homs drawn before falling back to the identity
 
-# group shapes with at most 64 elements, fixed pool for reproducible draws
+# canonical group shapes with at most 64 elements, fixed pool for reproducible draws
 _GROUP_SHAPES = (
     (),
     (2,), (3,), (4,), (5,), (6,), (8,), (9,), (12,), (16,), (24,), (36,), (60,),
@@ -65,7 +65,7 @@ class XorShift64Star:
 
 def random_finite_group(rng: XorShift64Star, max_order: int = MAX_GROUP_ORDER) -> FinAbGroup:
     shapes = [s for s in _GROUP_SHAPES if math.prod(s) <= max_order]
-    return FinAbGroup.of(*rng.choice(shapes))
+    return FinAbGroup(rng.choice(shapes))
 
 
 def random_element(rng, group: FinAbGroup):

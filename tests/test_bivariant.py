@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwl.bivariant import (
     COVER_LOG,
@@ -10,9 +14,9 @@ from mwl.bivariant import (
     quotient_bivariant,
 )
 from mwl.errors import ConfigurationError, DomainError
-from mwl.finabelian import AbHom, FinAbGroup, quotient_group, subgroup_generated
+from mwl.finabelian import AbHom, FinAbGroup, direct_sum, quotient_group, subgroup_generated
 from mwl.scenario import read_bivariant
-from mwl.subsets import FiniteSubset, map_subset, union
+from mwl.subsets import FiniteSubset, map_subset, minkowski_sum, product_subset, union
 from mwl.values import LengthValue, value_add, value_cmp
 from mwl.weaklength import LOG_CARD, NU, RANK, eval_weak_length
 
@@ -81,6 +85,61 @@ def test_cover_deterministic_lex_witness():
     # and the lex-least minimum cover is {0,1,2}
     assert v1 == LengthValue.log_count(3)
     assert sorted(c1.items) == [(0,), (1,), (2,)]
+
+
+def _first_minimum_cover(a, b):
+    """Reference: the first itertools.combinations of the sorted A - B
+    that covers A, at the smallest size."""
+    g = a.ambient
+    candidates = sorted({(x - y).coords for x in a for y in b})
+    for size in range(1, len(a) + 1):
+        for combo in combinations(candidates, size):
+            if a.items <= minkowski_sum(FiniteSubset.from_items(g, combo), b).items:
+                return size, combo
+    raise AssertionError("A - B does not cover A")
+
+
+@st.composite
+def cover_instances(draw):
+    """(A, B) with |A| <= 6 and |B| <= 3 in C_n (2 <= n <= 12), C2 x C4,
+    or a small box of Z^2."""
+    kind = draw(st.sampled_from(["cyclic", "c2xc4", "box"]))
+    if kind == "cyclic":
+        n = draw(st.integers(2, 12))
+        g = FinAbGroup.cyclic(n)
+        coords = st.tuples(st.integers(0, n - 1))
+    elif kind == "c2xc4":
+        g = FinAbGroup.of(2, 4)
+        coords = st.tuples(st.integers(0, 1), st.integers(0, 3))
+    else:
+        g = FinAbGroup.free(2)
+        coords = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    a = draw(st.lists(coords, min_size=1, max_size=6))
+    b = draw(st.lists(coords, min_size=1, max_size=3))
+    return subset(g, a), subset(g, b)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(cover_instances())
+def test_cover_matches_brute_force_first_minimum_cover(instance):
+    a, b = instance
+    size, combo = _first_minimum_cover(a, b)
+    value, cover = cover_bivariant(a.ambient, a, b)
+    assert value == LengthValue.log_count(size)
+    assert sorted(cover.items) == list(combo)
+
+
+def test_cover_log_product_is_only_submultiplicative():
+    # C3 x C3 is covered by 3 translates of {0,1}^2, while each C3 needs 2
+    c3 = FinAbGroup.cyclic(3)
+    a = subset(c3, [[0], [1], [2]])
+    b = subset(c3, [[0], [1]])
+    total, e1, e2 = direct_sum(c3, c3)
+    factor, _ = cover_bivariant(c3, a, b)
+    product, _ = cover_bivariant(total, product_subset(a, e1, a, e2), product_subset(b, e1, b, e2))
+    assert factor == LengthValue.log_count(2)
+    assert product == LengthValue.log_count(3)
+    assert value_add(factor, factor) == LengthValue.log_count(4)
 
 
 def test_quotient_bivariant_examples():

@@ -76,6 +76,18 @@ def test_biv_check(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("seed", [
+    5643403147495439306,  # a product instance with product log 3 < split log 4
+    4148626438543837940,  # a product instance with 81 cover candidates
+])
+def test_biv_check_cover_log_pinned_seeds(capsys, seed):
+    code, out = invoke(capsys, "biv-check", "--budget", "50", "--seed", str(seed),
+                       "--format", "json")
+    assert code == 0
+    assert json_part(out)["result"] == {"checked": 50, "passed": True,
+                                        "spec": {"kind": "cover_log"}}
+
+
 def test_addition_report_cli(capsys):
     code, out = invoke(capsys, "addition", "--scenario",
                        str(SCENARIOS / "addition-z4.json"))

@@ -39,6 +39,9 @@ def _lattice_values(g, elements):
 
 def test_exponent_sum():
     assert [exponent_sum(n) for n in (1, 2, 4, 12, 97, 2 ** 40 * 9)] == [0, 1, 2, 3, 1, 42]
+    # the primality test of laurent.StaircaseBasis and meanlen
+    assert [n for n in range(60) if exponent_sum(n) == 1] == \
+        [n for n in range(2, 60) if all(n % q for q in range(2, n))]
 
 
 def test_gcd_steps_keep_pivots_positive():

@@ -17,7 +17,7 @@ from mwl.finabelian import (
     subgroup_generated,
     torsion_k,
 )
-from mwl.sampling import XorShift64Star, random_finite_group, random_hom
+from mwl.sampling import _GROUP_SHAPES, XorShift64Star, random_finite_group, random_hom
 
 
 def iso_type(g):
@@ -29,6 +29,12 @@ def test_canonical_merging():
     assert iso_type(FinAbGroup.of(2, 4)) == ((2, 4), 0)
     assert iso_type(FinAbGroup.of(0, 6, 2)) == ((2, 6), 1)
     assert iso_type(FinAbGroup.of(1, 1)) == ((), 0)
+
+
+def test_sampled_shapes_are_canonical():
+    # random_finite_group builds FinAbGroup(shape) without a presentation
+    for shape in _GROUP_SHAPES:
+        assert FinAbGroup.of(*shape) == FinAbGroup(shape)
 
 
 def test_element_canonical_form():
