@@ -308,12 +308,7 @@ def cardinality(g: FinAbGroup) -> int | float:
 
 def direct_sum(g: FinAbGroup, h: FinAbGroup) -> tuple[FinAbGroup, AbHom, AbHom]:
     """Canonical direct sum with the two embeddings."""
-    n1, n2 = g.ambient_dim, h.ambient_dim
-    rels = [row + [0] * n2 for row in g.relation_rows()]
-    rels += [[0] * n1 + row for row in h.relation_rows()]
-    total, proj, _ = presentation_from_relations(n1 + n2, rels)
-    emb_g = AbHom.from_rows(g, total, proj[:n1])
-    emb_h = AbHom.from_rows(h, total, proj[n1:])
+    total, (emb_g, emb_h) = direct_sum_many([g, h])
     return total, emb_g, emb_h
 
 

@@ -13,12 +13,16 @@ normal form, and only multiplication by t can leave the complement.
 Submodules of the Laurent module are handled by t-normalizing the
 generators into F_p[t]^k and then t-saturating the polynomial module
 (dividing out combinations that vanish mod t) so that polynomial
-membership agrees with Laurent membership.  When the quotient is finite
-dimensional, multiplication by t is invertible on the residue space and
-classes of elements with negative support get canonical representatives
-by applying the inverse matrix; with free directions left in the
-quotient there is no translation-consistent representative and the
-configuration is rejected.
+membership agrees with Laurent membership.  When the quotient is finite,
+the staircase is square and upper triangular, and the product f of its
+pivot polynomials (its determinant) kills every class.  Saturation makes
+t one-to-one, hence onto, on the finite quotient, so f(0) != 0 and the
+polynomial u = -(f - f(0)) / (t f(0)) satisfies t u = 1 - f / f(0),
+which acts as 1: u is t^-1 on the quotient.  Classes of elements with
+negative support get canonical representatives by multiplying with a
+power of u and reducing once.  With free directions left in the quotient
+there is no translation-consistent representative and the configuration
+is rejected.
 
 Polynomials are coefficient tuples, lowest degree first, with no
 trailing zeros; () is zero.  A Laurent vector is a polynomial vector
@@ -50,13 +54,6 @@ def padd(a, b, p):
 
 def pscale(a, c, p):
     return pnorm([c * x for x in a], p)
-
-
-def pshift(a, m):
-    # multiply by t^m, m >= 0
-    if not a:
-        return a
-    return (0,) * m + tuple(a)
 
 
 def pmul(a, b, p):
@@ -143,24 +140,6 @@ def _fp_kernel(rows, width, p):
     return basis
 
 
-def _fp_invert(mat, p):
-    n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] % p), None)
-        if piv is None:
-            raise ConfigurationError("matrix is singular mod p")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] % p:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 class StaircaseBasis:
     """Echelon basis of a t-saturated submodule of F_p[t]^k."""
 
@@ -173,7 +152,6 @@ class StaircaseBasis:
         for vec in poly_vectors:
             self._insert(self._tnormalize(list(vec)))
         self._saturate()
-        self._residue_cache = None
 
     # -- construction -------------------------------------------------
 
@@ -260,65 +238,52 @@ class StaircaseBasis:
     def is_finite_quotient(self) -> bool:
         return len(self.rows) == self.k
 
-    @property
-    def quotient_dim(self) -> int:
+    def _pivot_degrees(self):
         if not self.is_finite_quotient:
             raise ConfigurationError("quotient has free directions")
-        return sum(pdeg(r[self._pivot(r)]) for r in self.rows)
+        return [pdeg(row[pos]) for pos, row in enumerate(self.rows)]
 
-    # -- residue space (finite quotients only) ------------------------
-
-    def _residues(self):
-        if self._residue_cache is None:
-            if not self.is_finite_quotient:
-                raise ConfigurationError(
-                    "canonical forms with negative support need a finite quotient")
-            degs = {}
-            for row in self.rows:
-                pos = self._pivot(row)
-                degs[pos] = pdeg(row[pos])
-            basis = [(pos, d) for pos in range(self.k) for d in range(degs[pos])]
-            p = self.p
-            t_rows = []
-            for pos, d in basis:
-                vec = [()] * self.k
-                vec[pos] = pshift((1,), d + 1)
-                t_rows.append(self._flatten(self.reduce(vec), basis))
-            t_matrix = _transpose(t_rows)  # column i is image of basis i
-            t_inverse = _fp_invert(t_matrix, p)
-            self._residue_cache = (basis, t_matrix, t_inverse, degs)
-        return self._residue_cache
-
-    def _flatten(self, vec, basis):
-        return [vec[pos][d] if d < len(vec[pos]) else 0 for pos, d in basis]
-
-    def shift_class(self, vec, power: int):
-        """Canonical representative of t^power times the class of vec."""
-        basis, t_matrix, t_inverse, degs = self._residues()
-        flat = self._flatten(self.reduce(vec), basis)
-        mat = t_matrix if power >= 0 else t_inverse
-        for _ in range(abs(power)):
-            flat = [sum(mat[i][j] * flat[j] for j in range(len(flat))) % self.p
-                    for i in range(len(flat))]
-        out = [[0] * degs[pos] for pos in range(self.k)]
-        for value, (pos, d) in zip(flat, basis):
-            out[pos][d] = value
-        return [pnorm(c, self.p) for c in out]
+    @property
+    def quotient_dim(self) -> int:
+        return sum(self._pivot_degrees())
 
     def residue_count(self) -> int:
         return self.p ** self.quotient_dim
 
     def enumerate_residues(self):
         """All canonical residue vectors of a finite quotient."""
-        basis, _, _, degs = self._residues()
-        p, k = self.p, self.k
+        p = self.p
+        degs = self._pivot_degrees()
         from itertools import product as iproduct
 
-        for combo in iproduct(range(p), repeat=len(basis)):
-            out = [[0] * degs[pos] for pos in range(k)]
-            for value, (pos, d) in zip(combo, basis):
-                out[pos][d] = value
-            yield [pnorm(c, p) for c in out]
+        for flat in iproduct(range(p), repeat=sum(degs)):
+            out, start = [], 0
+            for d in degs:
+                out.append(pnorm(flat[start:start + d], p))
+                start += d
+            yield out
+
+    def inverse_power(self, m: int):
+        """u^m mod f for m >= 1: the polynomial acting as t^-m on a finite
+        quotient (f and u as in the module docstring)."""
+        if not self.is_finite_quotient:
+            raise ConfigurationError(
+                "canonical forms with negative support need a finite quotient")
+        p = self.p
+        f = (1,)
+        for pos, row in enumerate(self.rows):
+            f = pmul(f, row[pos], p)
+        if f[0] == 0:
+            raise ConfigurationError("t is not invertible on the quotient")
+        base = pscale(f[1:], -pow(f[0], p - 2, p), p)
+        power = (1,)
+        while True:
+            if m & 1:
+                power = pdivmod(pmul(power, base, p), f, p)[1]
+            m >>= 1
+            if not m:
+                return power
+            base = pdivmod(pmul(base, base, p), f, p)[1]
 
 
 def _transpose(rows):
@@ -332,9 +297,10 @@ def laurent_normal_form(staircase: StaircaseBasis, vec, low: int):
     the submodule, as a polynomial vector.
 
     `vec` is a polynomial vector of length k and low <= 0.  With low == 0
-    this is the remainder of `reduce`; otherwise the class is shifted by
-    t^low on the residue space, which needs a finite quotient.
+    this is the remainder of `reduce`; otherwise vec is multiplied by the
+    polynomial acting as t^low, which needs a finite quotient.
     """
     if low == 0:
         return staircase.reduce(vec)
-    return staircase.shift_class(vec, low)
+    u = staircase.inverse_power(-low)
+    return staircase.reduce([pmul(c, u, staircase.p) for c in vec])

@@ -22,6 +22,7 @@ import math
 
 from .errors import DomainError
 from .finabelian import AbElement, AbHom, FinAbGroup, hom_kernel, torsion_k
+from .intmat import identity, row_basis
 from .subsets import FiniteSubset
 
 MASK64 = (1 << 64) - 1
@@ -110,11 +111,15 @@ def random_hom(rng, source: FinAbGroup, target: FinAbGroup) -> AbHom:
 
 
 def random_automorphism(rng, group: FinAbGroup) -> AbHom:
-    """Random automorphism of a finite group (identity as fallback)."""
+    """Random automorphism of a finite group (identity as fallback).
+
+    An endomorphism of a finite group is one-to-one iff it is onto, that
+    is, iff its image and the relations span the whole coordinate lattice.
+    """
+    full = identity(group.ambient_dim)
     for _ in range(AUTOMORPHISM_TRIES):
         phi = random_hom(rng, group, group)
-        ker, _ = hom_kernel(phi)
-        if ker.cardinality() == 1:
+        if row_basis([list(r) for r in phi.matrix] + group.relation_rows()) == full:
             return phi
     return AbHom.identity(group)
 

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwl.errors import ConfigurationError
 from mwl.finabelian import FinAbGroup
 from mwl.groupring import ShiftModule
-from mwl.laurent import StaircaseBasis
+from mwl.laurent import StaircaseBasis, laurent_normal_form
 
 Z = FinAbGroup.free(1)
 
@@ -124,3 +126,32 @@ def test_infinite_vector_quotient_rejects_negative_support():
     m = ShiftModule(Z, coeff, quotient=(gen.items,))
     with pytest.raises(ConfigurationError):
         m.element([((-1,), (1, 0))])
+
+
+def _poly(data, p, max_len, unit_top=False):
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), max_size=max_len))
+    if unit_top:
+        coeffs.append(data.draw(st.integers(1, p - 1)))
+    return tuple(coeffs)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_negative_support_normal_form_is_canonical(data):
+    # A finite staircase: a triangular generator matrix with nonzero
+    # diagonal (pivots may be divisible by t) and maybe one more generator.
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    k = data.draw(st.integers(1, 3))
+    gens = [[() if j < i else _poly(data, p, 3, unit_top=(j == i)) for j in range(k)]
+            for i in range(k)]
+    if data.draw(st.booleans()):
+        gens.append([_poly(data, p, 3) for _ in range(k)])
+    s = StaircaseBasis(p, k, gens)
+    assert s.is_finite_quotient
+    vec = [_poly(data, p, 8) for _ in range(k)]
+    low = data.draw(st.integers(-70, -1))
+    r = laurent_normal_form(s, vec, low)
+    # r is reduced, and t^-low * r lies in the class of vec: together these
+    # single out the canonical representative of t^low * vec
+    assert s.reduce(r) == r
+    assert s.reduce([(0,) * -low + c if c else c for c in r]) == s.reduce(vec)
