@@ -14,15 +14,17 @@ Submodules of the Laurent module are handled by t-normalizing the
 generators into F_p[t]^k and then t-saturating the polynomial module
 (dividing out combinations that vanish mod t) so that polynomial
 membership agrees with Laurent membership.  When the quotient is finite,
-the staircase is square and upper triangular, and the product f of its
-pivot polynomials (its determinant) kills every class.  Saturation makes
-t one-to-one, hence onto, on the finite quotient, so f(0) != 0 and the
-polynomial u = -(f - f(0)) / (t f(0)) satisfies t u = 1 - f / f(0),
-which acts as 1: u is t^-1 on the quotient.  Classes of elements with
-negative support get canonical representatives by multiplying with a
-power of u and reducing once.  With free directions left in the quotient
-there is no translation-consistent representative and the configuration
-is rejected.
+the staircase is a square upper triangular matrix B, and its
+determinant f, the product of the pivot polynomials, kills every class
+(adj(B) B = f I).  f is also the characteristic polynomial of t on the
+quotient, and saturation makes t one-to-one, hence invertible, on a
+finite quotient, so f(0) != 0.  The polynomial u = -(f - f(0)) / (t f(0))
+then satisfies t u = 1 - f / f(0), which acts as 1: u is t^-1 on the
+quotient.  Classes of elements with negative support get canonical
+representatives by multiplying with a power of u and reducing once.
+With free directions left in the quotient there is no
+translation-consistent representative and the configuration is
+rejected.
 
 Polynomials are coefficient tuples, lowest degree first, with no
 trailing zeros; () is zero.  A Laurent vector is a polynomial vector
