@@ -229,12 +229,12 @@ class ShiftModule:
 
     def elements(self):
         """Enumerate a finite module."""
+        if self.cardinality() == INFINITE:
+            raise DomainError("cannot enumerate an infinite module")
         if self.quotient is not None:
             for residue in self._staircase.enumerate_residues():
                 yield GRElement(self, self._items(residue))
             return
-        if self.cardinality() == INFINITE:
-            raise DomainError("cannot enumerate an infinite module")
         if self.coeff.cardinality() == 1:
             yield self.zero()
             return

@@ -280,31 +280,29 @@ def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
                    seq: FolnerBoxes) -> MeanEstimate:
     """Exact ratio table l(A^[F_n]) / |F_n| for n = 1..n_max.
 
-    log_card over Z with finite coefficients counts every row with the
-    subset-construction automaton of mwl.sofic (method "sofic"), unless
-    that automaton passes its state cap.  Other tables enumerate the
-    orbit sums (see _enumerated_values).
+    The rows come from _table_rows.  Where they end at the set cap and
+    the product-structure rule applies, the rule's value fills the rows
+    from there on (method "certified"); otherwise the table ends there.
     """
     if a.ambient != module:
         raise DomainError("witness does not live in the module")
     zero_in_a = a.contains_zero()
     symmetric_a = a.is_symmetric()
     structural = product_structure_value(module, a, spec)
-    automaton = sofic.subset_automaton(a) if sofic.applies(module, spec) else None
-    if automaton is not None:
-        computed = ((LengthValue.log_count(c), "sofic") for c in automaton.counts(seq.n_max))
-    else:
-        computed = _enumerated_values(a, spec, seq, structural)
+    automaton, computed = _table_rows(a, spec, seq)
 
     rows = []
-    for n, (value, method) in enumerate(computed, 1):
+    for n in range(1, seq.n_max + 1):
         size = seq.size(n)
-        if structural is not None:
-            expected = _scaled_value(structural, size)
-            if value_cmp(value, expected) != 0:
-                raise ConfigurationError(
-                    f"structural value {expected} disagrees with the computed "
-                    f"value {value} at n={n}")
+        expected = None if structural is None else _scaled_value(structural, size)
+        # past the last computed row only the structural value goes on
+        value, method = next(computed, (expected, "certified"))
+        if value is None:
+            break
+        if expected is not None and value_cmp(value, expected) != 0:
+            raise ConfigurationError(
+                f"structural value {expected} disagrees with the computed "
+                f"value {value} at n={n}")
         rows.append(RatioRow(n, size, value, MeanRatio(value, size), method))
     if not rows:
         raise ConfigurationError("no Folner box could be evaluated under the cap")
@@ -334,41 +332,41 @@ def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
         doubling_ok=doubling_ok, limit=limit)
 
 
-def _enumerated_values(a: FiniteSubset, spec: WeakLengthSpec, seq: FolnerBoxes,
-                       structural: LengthValue | None):
-    """(value, method) per row from the orbit sums, in order of n.
+def _table_rows(a: FiniteSubset, spec: WeakLengthSpec, seq: FolnerBoxes):
+    """The automaton that counts the rows of A, or None, and the rows as
+    (value, method) in order of n.
 
-    The boxes are nested, so each row adds the translates over the shell
-    F_n minus F_(n-1) to the previous row's set.  For 0 in A and a
-    length-induced spec the subgroup generated by A^[F_n] equals the one
-    generated by the union of the translates, so those translates go
-    into one lattice carried from row to row instead.  |X + Y| >= |X|
-    makes |A^[F_n]| grow with n, so once a row passes SET_CAP no later
-    row is enumerated: the rows from there on take the structural value,
-    or the table ends.
+    log_card over Z with finite coefficients is counted by the
+    subset-construction automaton of mwl.sofic (method "sofic") unless it
+    passes its state cap.  Other rows are enumerated, each adding the
+    translates over the shell F_n minus F_(n-1) to the previous row: for
+    0 in A and a length-induced spec they go into one carried lattice,
+    as A^[F_n] and their union generate the same subgroup; else the orbit
+    sum is carried, and |X + Y| >= |X| makes |A^[F_n]| grow with n, so
+    the rows end at the first one past SET_CAP.
     """
-    if spec.length_induced and a.contains_zero():
+    automaton = sofic.subset_automaton(a) if sofic.applies(a.ambient, spec) else None
+    return automaton, _rows(a, spec, seq, automaton)
+
+
+def _rows(a, spec, seq, automaton):  # the generator behind _table_rows
+    if automaton is not None:
+        for count in automaton.counts(seq.n_max):
+            yield LengthValue.log_count(count), "sofic"
+    elif spec.length_induced and a.contains_zero():
         lattice = EchelonLattice()
         for n in range(1, seq.n_max + 1):
             for s in seq.shell(n):
                 span_insert(lattice, a.ambient, gr_translate(-s, a).items)
             yield span_length(spec, lattice), "enumerated"
-        return
-    orbit = None  # A^[F_(n-1)]
-    capped = False
-    for n in range(1, seq.n_max + 1):
-        if not capped:
+    else:
+        orbit = None  # A^[F_(n-1)]
+        for n in range(1, seq.n_max + 1):
             try:
                 orbit = orbit_sum(a, seq.shell(n), orbit)
-                value = eval_module_subset(spec, orbit)
             except SetSizeLimitError:
-                capped, orbit = True, None
-            else:
-                yield value, "enumerated"
-                continue
-        if structural is None:
-            return
-        yield _scaled_value(structural, seq.size(n)), "certified"
+                return
+            yield eval_module_subset(spec, orbit), "enumerated"
 
 
 def _fekete_ok(values) -> bool:
@@ -477,11 +475,12 @@ def addition_report(m2: ShiftModule, quotient,
     so its table is the submodule's own mean data computed inside the
     ambient module.  The quotient witness is given as a lift in the total
     module and pushed through the projection.  The easy direction
-    l((B+B1)^[F]) >= l(B^[F]) + l(C^[F]) is checked exactly row by row;
-    the rows end at the first row of B + B1 past the set cap or at the
-    end of the submodule or quotient table.  B + B1 holds a translate of
-    B and maps onto C, so where all three orbit sums are enumerated,
-    those of B + B1 reach the cap first.
+    l((B+B1)^[F]) >= l(B^[F]) + l(C^[F]) is checked exactly row by row.
+    The rows of B + B1 come from the same row source as the tables
+    (_table_rows), so they are counted, carried in a lattice or
+    enumerated as a table of B + B1 would be; they end at the end of the
+    submodule or quotient table, or at the first row of B + B1 past the
+    set cap.
     """
     quot, project = quotient
     for x in witness_submodule:
@@ -496,12 +495,12 @@ def addition_report(m2: ShiftModule, quotient,
 
     # easy direction on the combined witness A = B + B1, row by row
     # against the two tables just computed; they come first in zip, so
-    # no row past the end of either is enumerated for A
-    combined = minkowski_sum(witness_submodule, witness_quotient_lift)
+    # no row past the end of either is computed for A
+    _, combined_rows = _table_rows(
+        minkowski_sum(witness_submodule, witness_quotient_lift), spec, seq)
     easy_rows = []
     easy_ok = True
-    for sub_row, quot_row, (a_val, _) in zip(
-            est_sub.rows, est_quot.rows, _enumerated_values(combined, spec, seq, None)):
+    for sub_row, quot_row, (a_val, _) in zip(est_sub.rows, est_quot.rows, combined_rows):
         parts = value_add(sub_row.value, quot_row.value)
         easy_rows.append((sub_row.n, a_val, parts))
         if not value_le(parts, a_val):

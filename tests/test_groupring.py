@@ -183,6 +183,16 @@ def test_principal_quotient_residues():
     assert x.translate(t_elem).translate(t_elem) == y
 
 
+def test_infinite_principal_quotient_refuses_enumeration():
+    # C2 x C2 modulo (1 + t, 0): the second coordinate stays free
+    plain = shift_module(2, 2)
+    f = plain.element([((0,), (1, 0)), ((1,), (1, 0))])
+    quot, _ = principal_quotient(plain, [f])
+    assert quot.cardinality() == INFINITE
+    with pytest.raises(DomainError, match="cannot enumerate an infinite module"):
+        next(quot.elements())
+
+
 def test_normal_form_soundness_random():
     plain = shift_module(2)
     f = plain.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])

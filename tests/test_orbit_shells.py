@@ -1,12 +1,16 @@
 """Shell-by-shell ratio tables against orbit sums rebuilt from whole boxes.
 
-`ratio_sequence` and `addition_report` grow A^[F_n] from A^[F_(n-1)] and
-stop enumerating once a row passes the set cap.  The reference here is
-the from-scratch orbit sum `orbit_sum(a, seq.box(n))`, under a lowered
-cap so that cap hits happen on small inputs.
+`ratio_sequence` and the easy rows of `addition_report` take their rows
+from one row source: counted by mwl.sofic where it applies, else grown
+from A^[F_(n-1)] to A^[F_n] (in a lattice for rank and nu with 0 in A),
+ending at the first enumerated row past the set cap.  The reference here
+is the from-scratch orbit sum `orbit_sum(a, seq.box(n))`, under a
+lowered cap so that cap hits happen on small inputs.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwl import groupring, subsets
 from mwl.errors import SetSizeLimitError
@@ -31,6 +35,7 @@ from mwl.subsets import FiniteSubset, minkowski_sum
 from mwl.values import LengthValue, value_add, value_cmp
 from mwl.weaklength import LOG_CARD, NU, RANK, tors_log
 
+SET_CAP = subsets.SET_CAP
 CAP = 400
 Z = FinAbGroup.free(1)
 ACTING = {
@@ -40,6 +45,7 @@ ACTING = {
     "C3": FinAbGroup.of(3),  # finite: every shell after the first is empty
 }
 COEFFS = (FinAbGroup.of(2), FinAbGroup.of(3), FinAbGroup.of(4), FinAbGroup.free(1))
+FINITE_COEFFS = (FinAbGroup.of(4), FinAbGroup.of(2, 2), FinAbGroup.of(3), FinAbGroup.of(2))
 
 
 @pytest.fixture
@@ -183,8 +189,15 @@ def _easy_rows_rebuilt(spec, combined, sub, pushed, seq):
     return rows
 
 
+def _check_easy_rows(report, expected):
+    assert len(report.easy_rows) == len(expected)
+    for (n, a_val, parts), (n_ref, a_ref, parts_ref) in zip(report.easy_rows, expected):
+        assert n == n_ref
+        assert value_cmp(a_val, a_ref) == 0 and value_cmp(parts, parts_ref) == 0
+
+
 @pytest.mark.parametrize("case", ["coeff-z4", "principal-z2"])
-def test_easy_rows_match_rebuilt_orbit_sums(low_cap, case):
+def test_easy_rows_match_rebuilt_orbit_sums(low_cap, monkeypatch, case):
     if case == "coeff-z4":
         m2 = ShiftModule(Z, FinAbGroup.of(4))
         n1 = coeff_quotient(m2, [[2]])
@@ -197,18 +210,29 @@ def test_easy_rows_match_rebuilt_orbit_sums(low_cap, case):
         total = FiniteSubset.of(m2, [m2.zero(), m2.delta([1])])
         sub = FiniteSubset.of(m2, [m2.zero(), f])
     lift = FiniteSubset.of(m2, [m2.zero(), m2.delta([1]), m2.delta([1], at=(1,))])
-    seq = FolnerBoxes(Z, 10)
-    report = addition_report(m2, n1, sub, total, lift, LOG_CARD, seq)
     quot, project = n1
     pushed = FiniteSubset.of(quot, [project(x) for x in lift])
-    expected = _easy_rows_rebuilt(LOG_CARD, minkowski_sum(sub, lift), sub, pushed, seq)
-    assert len(expected) < seq.n_max  # the lowered cap stops the easy rows
-    # 0 is in B and in B1, so B + B1 contains both parts and reaches the
-    # cap first: the rows end where all three rebuilt orbit sums still fit
-    assert len(report.easy_rows) == len(expected)
-    for (n, a_val, parts), (n_ref, a_ref, parts_ref) in zip(report.easy_rows, expected):
-        assert n == n_ref
-        assert value_cmp(a_val, a_ref) == 0 and value_cmp(parts, parts_ref) == 0
+    combined = minkowski_sum(sub, lift)
+    seq = FolnerBoxes(Z, 7)
+    reports = {spec.kind: addition_report(m2, n1, sub, total, lift, spec, seq)
+               for spec in (LOG_CARD, tors_log(2))}
+
+    # tors_log is not counted, so B + B1 is enumerated.  0 is in B and in
+    # B1, so B + B1 contains both parts and reaches the lowered cap first:
+    # the rows end where all three rebuilt orbit sums still fit
+    expected = _easy_rows_rebuilt(tors_log(2), combined, sub, pushed, seq)
+    assert len(expected) < seq.n_max
+    assert _rebuilt(tors_log(2), combined, seq, len(expected) + 1) is None
+    _check_easy_rows(reports["tors_log"], expected)
+
+    # log_card over Z with finite coefficients: B + B1 is counted by
+    # mwl.sofic like the tables, so its rows run past the lowered cap to
+    # the end of the submodule and quotient tables
+    assert _rebuilt(LOG_CARD, combined, seq, seq.n_max) is None
+    monkeypatch.setattr(subsets, "SET_CAP", SET_CAP)
+    expected = _easy_rows_rebuilt(LOG_CARD, combined, sub, pushed, seq)
+    assert len(expected) == seq.n_max  # every row fits under the real cap
+    _check_easy_rows(reports["log_card"], expected)
 
 
 def _z4_addition(sub_elements, lift_elements, spec, seq):
@@ -226,6 +250,48 @@ def _check_easy_parts(report):
             report.easy_rows, report.submodule.rows, report.quotient.rows):
         assert n == sub_row.n == quot_row.n
         assert value_cmp(parts, value_add(sub_row.value, quot_row.value)) == 0
+
+
+@st.composite
+def coeff_subgroup_additions(draw):
+    """M over C2, C3, C4 or C2 x C2, a coefficient subgroup D given by
+    generators, B with coefficients in D, a lift B1 and n_max <= 6; the
+    elements are supported in {0, 1}."""
+    coeff = draw(st.sampled_from(FINITE_COEFFS))
+    m2 = ShiftModule(Z, coeff)
+    coefficient = st.tuples(*(st.integers(0, t - 1) for t in coeff.torsion))
+    gens = draw(st.lists(coefficient, min_size=1, max_size=2))
+
+    def in_d():
+        ks = [draw(st.integers(0, 3)) for _ in gens]
+        return tuple(sum(k * g[j] for k, g in zip(ks, gens)) % t
+                     for j, t in enumerate(coeff.torsion))
+
+    def witness(coefficients):
+        elements = [m2.element([((i,), c) for i, c in enumerate(window) if any(c)])
+                    for window in draw(st.lists(st.lists(coefficients, min_size=2, max_size=2),
+                                                min_size=1, max_size=3))]
+        return FiniteSubset.of(m2, elements + [m2.zero()] * draw(st.booleans()))
+
+    sub = witness(st.builds(in_d))
+    lift = witness(coefficient)
+    return m2, [list(g) for g in gens], sub, lift, FolnerBoxes(Z, draw(st.sampled_from(range(6, 0, -1))))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(coeff_subgroup_additions())
+def test_easy_rows_match_rebuilt_orbit_sums_on_random_coeff_quotients(case):
+    # the easy rows come from the fast row source (sofic counts); the slow
+    # path rebuilds the orbit sums of B + B1 from the whole box
+    m2, gens, sub, lift, seq = case
+    report = addition_report(m2, coeff_quotient(m2, gens), sub, lift, lift, LOG_CARD, seq)
+    combined = minkowski_sum(sub, lift)
+    assert [n for n, _, _ in report.easy_rows] == list(range(1, seq.n_max + 1))
+    for n, a_val, _ in report.easy_rows:
+        assert a_val.count == len(orbit_sum(combined, seq.box(n)))
+    _check_easy_parts(report)
+    # B + B1 maps onto C^[F] with fibres holding a translate of B^[F]
+    assert report.easy_direction_ok
 
 
 def test_nu_easy_rows_reach_n_max_through_the_lattice(low_cap):
