@@ -25,14 +25,15 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError
 from .finabelian import (
+    AbElement,
     AbHom,
     FinAbGroup,
     direct_sum,
+    hom_kernel,
     intersect_subgroups,
     quotient_group,
 )
 from .sampling import (
-    XorShift64Star,
     random_automorphism,
     random_finite_group,
     random_hom,
@@ -46,7 +47,14 @@ from .subsets import (
     product_subset,
 )
 from .values import LengthValue, value_add, value_cmp
-from .weaklength import NU, RANK, WeakLengthSpec, eval_weak_length
+from .weaklength import (
+    NU,
+    RANK,
+    CheckReport,
+    WeakLengthSpec,
+    eval_weak_length,
+    first_counterexample,
+)
 
 MAX_COVER_CANDIDATES = 24
 # group order and set size bounds of the upgrading checker's instances
@@ -204,81 +212,36 @@ def kernel_witness(spec: BivariantSpec, phi: AbHom, a: FiniteSubset) -> FiniteSu
 
 
 def _kernel_generators(phi: AbHom):
-    from .finabelian import hom_kernel
-
-    ker, incl = hom_kernel(phi)
-    n = ker.ambient_dim
-    gens = []
-    for i in range(n):
-        gens.append(incl(ker.element([1 if j == i else 0 for j in range(n)])))
-    return gens
+    # the rows of the inclusion matrix are the images of the kernel's generators
+    _, incl = hom_kernel(phi)
+    return [AbElement(phi.source, row) for row in incl.matrix]
 
 
-@dataclass(frozen=True)
-class UpgradingReport:
-    spec: BivariantSpec
-    passed: bool
-    checked: int
-    counterexample: dict | None = None
-
-    def to_json(self):
-        out = {"spec": self.spec.to_json(), "passed": self.passed, "checked": self.checked}
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
-
-
-def _upgrading_instances(seed: int):
-    rng = XorShift64Star(seed)
-    while True:
-        g = random_finite_group(rng, INSTANCE_MAX_ORDER)
-        h = random_finite_group(rng, INSTANCE_MAX_ORDER)
-        gs = random_finite_group(rng, 9)
-        inst = {
-            "group": g,
-            "a": random_subset(rng, g, INSTANCE_MAX_SET),
-            "b": random_subset(rng, g, INSTANCE_MAX_SET),
-            "c": random_subset(rng, g, INSTANCE_MAX_SET),
-            "phi": random_hom(rng, g, h),
-            "iso": random_automorphism(rng, g),
-            # small zero-adjoined pairs for the sum and product identities
-            "a2": random_subset(rng, g, 2, adjoin_zero=True),
-            "b2": random_subset(rng, g, 2, adjoin_zero=True),
-            "a3": random_subset(rng, g, 2, adjoin_zero=True),
-            "b3": random_subset(rng, g, 2, adjoin_zero=True),
-            "g_small": gs,
-            "sa": random_subset(rng, gs, 2, adjoin_zero=True),
-            "sb": random_subset(rng, gs, 2, adjoin_zero=True),
-        }
-        yield inst
-
-
-def check_upgrading_proper(spec: BivariantSpec, seed: int, budget: int) -> UpgradingReport:
+def check_upgrading_proper(spec: BivariantSpec, seed: int, budget: int) -> CheckReport:
     """Verify the proper-upgrading inequalities on seeded instances.
 
-    Per instance: regularity, the triangle inequality, the derived bound
-    l(A) <= l(A,B) + l(B), the sum bound, quotient monotonicity, the
-    direct-product law, invariance, and the kernel-witness postcondition.
-    The sum and product laws are checked on small base-pointed pairs;
-    without a common base point the generated submodule of a product set
-    is smaller than the product of the generated submodules and the
-    identities are simply false.
+    One draw-and-check function, run by first_counterexample (the loop of
+    the axiom checker too), tests every law on each instance: regularity, the triangle inequality, the
+    derived bound l(A) <= l(A,B) + l(B), the sum bound, quotient
+    monotonicity, invariance, the direct-product law, and the
+    kernel-witness postcondition.  The sum and product laws are checked
+    on small base-pointed pairs; without a common base point the
+    generated submodule of a product set is smaller than the product of
+    the generated submodules and the identities are simply false.
     """
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
-    stream = _upgrading_instances(seed)
-    for index in range(budget):
-        witness = _check_upgrading_instance(spec, next(stream))
-        if witness is not None:
-            witness["sample_index"] = index
-            return UpgradingReport(spec, False, index + 1, witness)
-    return UpgradingReport(spec, True, budget)
+    return first_counterexample(spec, None, _check_upgrading_instance, seed, budget)
 
 
-def _check_upgrading_instance(spec: BivariantSpec, inst) -> dict | None:
-    g = inst["group"]
-    a, b, c = inst["a"], inst["b"], inst["c"]
-    phi, iso = inst["phi"], inst["iso"]
+def _check_upgrading_instance(spec: BivariantSpec, rng, index) -> dict | None:
+    g = random_finite_group(rng, INSTANCE_MAX_ORDER)
+    h = random_finite_group(rng, INSTANCE_MAX_ORDER)
+    gs = random_finite_group(rng, 9)
+    a, b, c = (random_subset(rng, g, INSTANCE_MAX_SET) for _ in range(3))
+    phi = random_hom(rng, g, h)
+    iso = random_automorphism(rng, g)
+    # small zero-adjoined pairs for the sum and product identities
+    a2, b2, a3, b3 = (random_subset(rng, g, 2, adjoin_zero=True) for _ in range(4))
+    sa, sb = (random_subset(rng, gs, 2, adjoin_zero=True) for _ in range(2))
 
     ev = lambda G, x, y: bivariant_eval(spec, G, x, y, max_candidates=INSTANCE_MAX_CANDIDATES)
 
@@ -297,7 +260,6 @@ def _check_upgrading_instance(spec: BivariantSpec, inst) -> dict | None:
         return {"law": "unary_bound", "l_a": str(la), "l_ab": str(lab), "l_b": str(lb)}
 
     # sum bound on small base-pointed pairs
-    a2, b2, a3, b3 = inst["a2"], inst["b2"], inst["a3"], inst["b3"]
     lhs = ev(g, minkowski_sum(a2, a3), minkowski_sum(b2, b3))
     l_ab2 = ev(g, a2, b2)
     rhs = value_add(l_ab2, ev(g, a3, b3))
@@ -313,7 +275,6 @@ def _check_upgrading_instance(spec: BivariantSpec, inst) -> dict | None:
         return {"law": "invariance", "image": str(moved), "value": str(lab)}
 
     # direct product on small base-pointed factors
-    gs, sa, sb = inst["g_small"], inst["sa"], inst["sb"]
     total, e1, e2 = direct_sum(g, gs)
     pa = product_subset(a2, e1, sa, e2)
     pb = product_subset(b2, e1, sb, e2)

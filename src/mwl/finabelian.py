@@ -18,6 +18,7 @@ from itertools import product
 from .errors import DomainError
 from .intmat import (
     invert_unimodular,
+    lattice_intersection,
     left_kernel,
     matmul,
     row_basis,
@@ -333,8 +334,6 @@ def direct_sum_many(groups) -> tuple[FinAbGroup, list[AbHom]]:
 
 def intersect_subgroups(g: FinAbGroup, gens_a, gens_b) -> list[AbElement]:
     """Generators of the intersection of two finitely generated subgroups."""
-    from .intmat import lattice_intersection
-
     n = g.ambient_dim
     rows_a = [list(e.coords) for e in gens_a] + g.relation_rows()
     rows_b = [list(e.coords) for e in gens_b] + g.relation_rows()

@@ -19,9 +19,10 @@ elements so that every checked inequality can be evaluated exactly.
 from __future__ import annotations
 
 import math
+from itertools import product
 
 from .errors import DomainError
-from .finabelian import AbElement, AbHom, FinAbGroup, hom_kernel, torsion_k
+from .finabelian import AbElement, AbHom, FinAbGroup, hom_kernel
 from .intmat import identity, row_basis
 from .subsets import FiniteSubset
 
@@ -131,6 +132,13 @@ def kernel_elements(phi: AbHom):
 
 
 def torsion_elements(group: FinAbGroup, k: int):
-    """All elements killed by k in a finite group."""
-    tors, incl = torsion_k(group, k)
-    return [incl(x) for x in tors.elements()]
+    """All elements killed by k, in coordinate order.
+
+    On a torsion coordinate of order t these are the multiples of
+    t / gcd(k, t); a free coordinate killed by k is 0.
+    """
+    if k < 1:
+        raise DomainError("torsion order must be a positive integer")
+    steps = [range(0, t, t // math.gcd(k, t)) for t in group.torsion]
+    free = (0,) * group.free_rank
+    return [AbElement(group, coords + free) for coords in product(*steps)]

@@ -200,8 +200,10 @@ def wl_axioms(path, budget, seed):
     axioms = list(AXIOMS) if axioms == "all" else axioms
     if not isinstance(axioms, list):
         raise ConfigurationError(f'axioms: must be "all" or a list of axiom names, got {axioms!r}')
+    if not axioms:
+        raise ConfigurationError("axioms: must name at least one axiom")
     for i, name in enumerate(axioms):
-        if name not in AXIOMS:
+        if not isinstance(name, str) or name not in AXIOMS:
             raise ConfigurationError(
                 f"axioms[{i}]: unknown axiom {name!r}; expected one of {', '.join(AXIOMS)}")
     budget = _count(budget, "--budget", s, "", "budget", DEFAULT_BUDGET)

@@ -13,9 +13,12 @@ Five selectors are provided:
 `gen` is kept as the standing counterexample: it is monotone but fails
 the product property, so it is not a weak length.
 
-check_axiom evaluates one named axiom on a seeded instance stream and
-reports the first counterexample exactly; a failed check is data, not an
-error.  Streams are pinned to xorshift64* so counterexamples reproduce
+Each axiom is one function that draws its instance from a seeded
+xorshift64* stream and returns the counterexample or None; `AXIOMS` maps
+the axiom names to them.  check_axiom runs one axiom through
+first_counterexample, the loop the upgrading checker shares, and reports
+the first counterexample exactly; a failed check is data, not an error.
+Streams are pinned to xorshift64* so counterexamples reproduce
 bit-for-bit.  Two domain conventions are applied where the axioms
 themselves require them: axioms stated for sets containing 0 draw
 zero-adjoined sets, and tors_log streams draw from the k-torsion
@@ -43,17 +46,6 @@ from .sampling import (
 )
 from .subsets import FiniteSubset, map_subset, minkowski_sum, product_subset, union
 from .values import LengthValue, value_add, value_cmp
-
-AXIOMS = (
-    "regularity",
-    "product",
-    "quotient",
-    "upper_continuity",
-    "strong_quotient",
-    "subadd_sum",
-    "union_vs_sum",
-    "invariance",
-)
 
 
 @dataclass(frozen=True)
@@ -169,22 +161,44 @@ def eval_weak_length(spec: WeakLengthSpec, ambient, a: FiniteSubset) -> LengthVa
 
 @dataclass(frozen=True)
 class CheckReport:
-    spec: WeakLengthSpec
-    axiom: str
+    """Outcome of a seeded law check.
+
+    `spec` is a WeakLengthSpec for an axiom check and a BivariantSpec for
+    the upgrading laws, where `axiom` is None and left out of the JSON.
+    """
+    spec: object
+    axiom: str | None
     passed: bool
     checked: int
     counterexample: dict | None = None
 
     def to_json(self):
-        out = {
-            "spec": self.spec.to_json(),
-            "axiom": self.axiom,
-            "passed": self.passed,
-            "checked": self.checked,
-        }
+        out = {"spec": self.spec.to_json()}
+        if self.axiom is not None:
+            out["axiom"] = self.axiom
+        out["passed"] = self.passed
+        out["checked"] = self.checked
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         return out
+
+
+def first_counterexample(spec, axiom, law, seed: int, budget: int) -> CheckReport:
+    """Run `budget` instances of one law on one xorshift stream.
+
+    `law(spec, rng, index)` draws instance `index` from rng and returns a
+    dict that describes the violation, or None for a pass; the first
+    counterexample wins.
+    """
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
+    rng = XorShift64Star(seed)
+    for index in range(budget):
+        witness = law(spec, rng, index)
+        if witness is not None:
+            witness["sample_index"] = index
+            return CheckReport(spec, axiom, False, index + 1, witness)
+    return CheckReport(spec, axiom, True, budget)
 
 
 def _describe_set(a: FiniteSubset):
@@ -199,176 +213,141 @@ def _sample_sets(rng, spec, group, adjoin_zero, max_size=8):
     return random_subset(rng, group, max_size, adjoin_zero)
 
 
-def axiom_instances(spec: WeakLengthSpec, axiom: str, seed: int):
-    """Deterministic instance stream for one axiom.
+# One function per axiom: each draws its instance from rng and returns the
+# counterexample dict or None.  Instance 0 of regularity and product is
+# canonical: the trivial group, and the C2 x C3 pair that witnesses the
+# failure of `gen`.
 
-    Canonical edge instances come first (the trivial group, and for the
-    product axiom the C2 x C3 pair that witnesses the failure of `gen`),
-    then xorshift-driven draws.
-    """
-    rng = XorShift64Star(seed)
-    trivial = FinAbGroup()
 
-    if axiom == "regularity":
-        yield {"group": trivial}
-        while True:
-            yield {"group": random_finite_group(rng)}
+def _regularity(spec, rng, index):
+    g = FinAbGroup() if index == 0 else random_finite_group(rng)
+    val = eval_weak_length(spec, g, FiniteSubset.of(g, [g.zero()]))
+    if not val.is_zero():
+        return {"value": str(val)}
+    return None
 
-    elif axiom == "product":
-        z2, z3 = FinAbGroup.cyclic(2), FinAbGroup.cyclic(3)
-        yield {
-            "g1": z2, "a1": FiniteSubset.of(z2, list(z2.elements())),
-            "g2": z3, "a2": FiniteSubset.of(z3, list(z3.elements())),
-        }
-        while True:
-            g1 = random_finite_group(rng, 16)
-            g2 = random_finite_group(rng, 16)
-            yield {
-                "g1": g1, "a1": _sample_sets(rng, spec, g1, True, 4),
-                "g2": g2, "a2": _sample_sets(rng, spec, g2, True, 4),
-            }
 
-    elif axiom in ("quotient", "invariance"):
-        while True:
-            g = random_finite_group(rng)
-            if axiom == "quotient":
-                h = random_finite_group(rng)
-                phi = random_hom(rng, g, h)
-            else:
-                phi = random_automorphism(rng, g)
-            yield {"group": g, "a": _sample_sets(rng, spec, g, False), "phi": phi}
-
-    elif axiom == "upper_continuity":
-        while True:
-            g = random_finite_group(rng)
-            chain = [_sample_sets(rng, spec, g, False, 3)]
-            for _ in range(rng.below(3) + 1):
-                grown = union(chain[-1], _sample_sets(rng, spec, g, False, 3))
-                chain.append(grown)
-            yield {"group": g, "chain": chain}
-
-    elif axiom == "strong_quotient":
-        while True:
-            g = random_finite_group(rng)
-            h = random_finite_group(rng)
-            phi = random_hom(rng, g, h)
-            pool = kernel_elements(phi)
-            if spec.kind == "tors_log":
-                tors = set(torsion_elements(g, spec.k))
-                pool = [x for x in pool if x in tors]
-            b = random_subset(rng, g, 4, True, pool=pool)
-            yield {"group": g, "a": _sample_sets(rng, spec, g, True), "b": b, "phi": phi}
-
-    elif axiom in ("subadd_sum", "union_vs_sum"):
-        adjoin = axiom == "union_vs_sum"
-        while True:
-            g = random_finite_group(rng)
-            yield {
-                "group": g,
-                "a": _sample_sets(rng, spec, g, adjoin),
-                "b": _sample_sets(rng, spec, g, adjoin),
-            }
-
+def _product(spec, rng, index):
+    if index == 0:
+        g1, g2 = FinAbGroup.cyclic(2), FinAbGroup.cyclic(3)
+        a1 = FiniteSubset.of(g1, list(g1.elements()))
+        a2 = FiniteSubset.of(g2, list(g2.elements()))
     else:
-        raise DomainError(f"unknown axiom {axiom!r}")
+        g1 = random_finite_group(rng, 16)
+        g2 = random_finite_group(rng, 16)
+        a1 = _sample_sets(rng, spec, g1, True, 4)
+        a2 = _sample_sets(rng, spec, g2, True, 4)
+    total, e1, e2 = direct_sum(g1, g2)
+    lhs = eval_weak_length(spec, total, product_subset(a1, e1, a2, e2))
+    rhs = value_add(eval_weak_length(spec, g1, a1), eval_weak_length(spec, g2, a2))
+    if value_cmp(lhs, rhs) != 0:
+        return {
+            "g1": str(g1), "a1": _describe_set(a1),
+            "g2": str(g2), "a2": _describe_set(a2),
+            "value_product": str(lhs), "value_sum": str(rhs),
+        }
+    return None
 
 
-def _check_one(spec: WeakLengthSpec, axiom: str, inst) -> dict | None:
-    """Evaluate one instance; a dict describes the violation, None is a pass."""
-    ev = lambda g, s: eval_weak_length(spec, g, s)
+def _image_law(spec, g, phi, a, exact):
+    # l(phi(A)) <= l(A), with equality when phi is an automorphism
+    lhs = eval_weak_length(spec, phi.target, map_subset(phi, a))
+    rhs = eval_weak_length(spec, g, a)
+    order = value_cmp(lhs, rhs)
+    if order > 0 or (exact and order != 0):
+        return {"group": str(g), "a": _describe_set(a),
+                "image_value": str(lhs), "value": str(rhs)}
+    return None
 
-    if axiom == "regularity":
-        g = inst["group"]
-        val = ev(g, FiniteSubset.of(g, [g.zero()]))
-        if not val.is_zero():
-            return {"value": str(val)}
-        return None
 
-    if axiom == "product":
-        g1, a1, g2, a2 = inst["g1"], inst["a1"], inst["g2"], inst["a2"]
-        total, e1, e2 = direct_sum(g1, g2)
-        prod = product_subset(a1, e1, a2, e2)
-        lhs = ev(total, prod)
-        rhs = value_add(ev(g1, a1), ev(g2, a2))
-        if value_cmp(lhs, rhs) != 0:
-            return {
-                "g1": str(g1), "a1": _describe_set(a1),
-                "g2": str(g2), "a2": _describe_set(a2),
-                "value_product": str(lhs), "value_sum": str(rhs),
-            }
-        return None
+def _quotient(spec, rng, index):
+    g = random_finite_group(rng)
+    h = random_finite_group(rng)
+    phi = random_hom(rng, g, h)
+    return _image_law(spec, g, phi, _sample_sets(rng, spec, g, False), exact=False)
 
-    if axiom == "quotient":
-        g, a, phi = inst["group"], inst["a"], inst["phi"]
-        lhs = ev(phi.target, map_subset(phi, a))
-        rhs = ev(g, a)
-        if value_cmp(lhs, rhs) > 0:
-            return {"group": str(g), "a": _describe_set(a),
-                    "image_value": str(lhs), "value": str(rhs)}
-        return None
 
-    if axiom == "upper_continuity":
-        g, chain = inst["group"], inst["chain"]
-        vals = [ev(g, s) for s in chain]
-        for x, y in zip(vals, vals[1:]):
-            if value_cmp(x, y) > 0:
-                return {"group": str(g), "values": [str(v) for v in vals]}
-        total = chain[0]
-        for s in chain[1:]:
-            total = union(total, s)
-        if value_cmp(vals[-1], ev(g, total)) != 0:
+def _invariance(spec, rng, index):
+    g = random_finite_group(rng)
+    phi = random_automorphism(rng, g)
+    return _image_law(spec, g, phi, _sample_sets(rng, spec, g, False), exact=True)
+
+
+def _upper_continuity(spec, rng, index):
+    g = random_finite_group(rng)
+    chain = [_sample_sets(rng, spec, g, False, 3)]
+    for _ in range(rng.below(3) + 1):
+        chain.append(union(chain[-1], _sample_sets(rng, spec, g, False, 3)))
+    vals = [eval_weak_length(spec, g, s) for s in chain]
+    for x, y in zip(vals, vals[1:]):
+        if value_cmp(x, y) > 0:
             return {"group": str(g), "values": [str(v) for v in vals]}
-        return None
+    total = chain[0]
+    for s in chain[1:]:
+        total = union(total, s)
+    if value_cmp(vals[-1], eval_weak_length(spec, g, total)) != 0:
+        return {"group": str(g), "values": [str(v) for v in vals]}
+    return None
 
-    if axiom == "strong_quotient":
-        g, a, b, phi = inst["group"], inst["a"], inst["b"], inst["phi"]
-        lhs = ev(g, minkowski_sum(a, b))
-        rhs = value_add(ev(phi.target, map_subset(phi, a)), ev(g, b))
-        if value_cmp(lhs, rhs) < 0:
-            return {"group": str(g), "a": _describe_set(a), "b": _describe_set(b),
-                    "sum_value": str(lhs), "bound": str(rhs)}
-        return None
 
-    if axiom == "subadd_sum":
-        g, a, b = inst["group"], inst["a"], inst["b"]
-        lhs = ev(g, minkowski_sum(a, b))
-        rhs = value_add(ev(g, a), ev(g, b))
-        if value_cmp(lhs, rhs) > 0:
-            return {"group": str(g), "a": _describe_set(a), "b": _describe_set(b),
-                    "sum_value": str(lhs), "bound": str(rhs)}
-        return None
+def _strong_quotient(spec, rng, index):
+    g = random_finite_group(rng)
+    h = random_finite_group(rng)
+    phi = random_hom(rng, g, h)
+    pool = kernel_elements(phi)
+    if spec.kind == "tors_log":
+        tors = set(torsion_elements(g, spec.k))
+        pool = [x for x in pool if x in tors]
+    # b is drawn before a; tests/test_draw_order.py pins the draws
+    b = random_subset(rng, g, 4, True, pool=pool)
+    a = _sample_sets(rng, spec, g, True)
+    lhs = eval_weak_length(spec, g, minkowski_sum(a, b))
+    rhs = value_add(eval_weak_length(spec, phi.target, map_subset(phi, a)),
+                    eval_weak_length(spec, g, b))
+    if value_cmp(lhs, rhs) < 0:
+        return {"group": str(g), "a": _describe_set(a), "b": _describe_set(b),
+                "sum_value": str(lhs), "bound": str(rhs)}
+    return None
 
-    if axiom == "union_vs_sum":
-        g, a, b = inst["group"], inst["a"], inst["b"]
-        lhs = ev(g, union(a, b))
-        rhs = ev(g, minkowski_sum(a, b))
-        if value_cmp(lhs, rhs) > 0:
-            return {"group": str(g), "a": _describe_set(a), "b": _describe_set(b),
-                    "union_value": str(lhs), "sum_value": str(rhs)}
-        return None
 
-    if axiom == "invariance":
-        g, a, phi = inst["group"], inst["a"], inst["phi"]
-        lhs = ev(phi.target, map_subset(phi, a))
-        rhs = ev(g, a)
-        if value_cmp(lhs, rhs) != 0:
-            return {"group": str(g), "a": _describe_set(a),
-                    "image_value": str(lhs), "value": str(rhs)}
-        return None
+def _subadd_sum(spec, rng, index):
+    g = random_finite_group(rng)
+    a = _sample_sets(rng, spec, g, False)
+    b = _sample_sets(rng, spec, g, False)
+    lhs = eval_weak_length(spec, g, minkowski_sum(a, b))
+    rhs = value_add(eval_weak_length(spec, g, a), eval_weak_length(spec, g, b))
+    if value_cmp(lhs, rhs) > 0:
+        return {"group": str(g), "a": _describe_set(a), "b": _describe_set(b),
+                "sum_value": str(lhs), "bound": str(rhs)}
+    return None
 
-    raise DomainError(f"unknown axiom {axiom!r}")
+
+def _union_vs_sum(spec, rng, index):
+    g = random_finite_group(rng)
+    a = _sample_sets(rng, spec, g, True)
+    b = _sample_sets(rng, spec, g, True)
+    lhs = eval_weak_length(spec, g, union(a, b))
+    rhs = eval_weak_length(spec, g, minkowski_sum(a, b))
+    if value_cmp(lhs, rhs) > 0:
+        return {"group": str(g), "a": _describe_set(a), "b": _describe_set(b),
+                "union_value": str(lhs), "sum_value": str(rhs)}
+    return None
+
+
+AXIOMS = {
+    "regularity": _regularity,
+    "product": _product,
+    "quotient": _quotient,
+    "upper_continuity": _upper_continuity,
+    "strong_quotient": _strong_quotient,
+    "subadd_sum": _subadd_sum,
+    "union_vs_sum": _union_vs_sum,
+    "invariance": _invariance,
+}
 
 
 def check_axiom(spec: WeakLengthSpec, axiom: str, seed: int, budget: int) -> CheckReport:
     """Run `budget` instances of one axiom; first counterexample wins."""
-    if budget < 1:
-        raise DomainError("budget must be at least 1")
-    if axiom not in AXIOMS:
+    if not isinstance(axiom, str) or axiom not in AXIOMS:
         raise DomainError(f"unknown axiom {axiom!r}")
-    stream = axiom_instances(spec, axiom, seed)
-    for index in range(budget):
-        witness = _check_one(spec, axiom, next(stream))
-        if witness is not None:
-            witness["sample_index"] = index
-            return CheckReport(spec, axiom, False, index + 1, witness)
-    return CheckReport(spec, axiom, True, budget)
+    return first_counterexample(spec, axiom, AXIOMS[axiom], seed, budget)

@@ -7,7 +7,7 @@ The checker reports are drawn from these streams, so the element order of
 
 import pytest
 
-from mwl.finabelian import AbHom, FinAbGroup, hom_kernel
+from mwl.finabelian import AbHom, FinAbGroup, hom_kernel, torsion_k
 from mwl.sampling import (
     _GROUP_SHAPES,
     AUTOMORPHISM_TRIES,
@@ -61,6 +61,15 @@ def test_torsion_elements_match_brute_force(shape):
         brute = [x.coords for x in g.elements()
                  if not any(g.reduce(tuple(k * c for c in x.coords)))]
         assert _coords(torsion_elements(g, k)) == brute
+
+
+@pytest.mark.parametrize("shape, free_rank", [((), 1), ((2,), 1), ((2, 6), 2)],
+                         ids=["Z", "ZxC2", "Z2xC2xC6"])
+def test_torsion_elements_with_free_rank_match_torsion_k(shape, free_rank):
+    g = FinAbGroup(shape, free_rank)
+    for k in (1, 2, 3, 4, 6):
+        tors, incl = torsion_k(g, k)
+        assert _coords(torsion_elements(g, k)) == [incl(x).coords for x in tors.elements()]
 
 
 def _reference_automorphism(rng, group):
