@@ -221,11 +221,11 @@ def check_upgrading_proper(spec: BivariantSpec, seed: int, budget: int) -> Check
     """Verify the proper-upgrading inequalities on seeded instances.
 
     One draw-and-check function, run by first_counterexample (the loop of
-    the axiom checker too), tests every law on each instance: regularity, the triangle inequality, the
-    derived bound l(A) <= l(A,B) + l(B), the sum bound, quotient
-    monotonicity, invariance, the direct-product law, and the
-    kernel-witness postcondition.  The sum and product laws are checked
-    on small base-pointed pairs; without a common base point the
+    the axiom checker too), tests every law on each instance: regularity,
+    the triangle inequality, the derived bound l(A) <= l(A,B) + l(B), the
+    sum bound, quotient monotonicity, invariance, the direct-product law,
+    and the kernel-witness postcondition.  The sum and product laws are
+    checked on small base-pointed pairs; without a common base point the
     generated submodule of a product set is smaller than the product of
     the generated submodules and the identities are simply false.
     """

@@ -315,12 +315,12 @@ def _folner_kind(kind):
     ("biv-check", {"seed": "x"}, "seed: must be an integer"),
     ("wl-axioms", _shipped("gen-product", seed=1.5), "seed: must be an integer"),
     ("wl-axioms", _shipped("gen-product", axioms=5), 'axioms: must be "all" or a list'),
-    ("wl-axioms", _shipped("gen-product", axioms=[]), "axioms: must name at least one axiom"),
-    ("wl-axioms", _shipped("gen-product", axioms=[["product"]]),
-     "axioms[0]: unknown axiom ['product']"),
     ("wl-eval", {"group": {"free_rank": 1}, "weak_length": {"kind": "log_card"}, "set": 5},
      "set: must be a JSON list"),
     ("mean", _shipped("z2-shift", extra=1), "extra: unknown key"),
+    ("wl-axioms", _shipped("gen-product", axioms=[]), "axioms: must name at least one axiom"),
+    ("wl-axioms", _shipped("gen-product", axioms=[["product"]]),
+     "axioms[0]: unknown axiom ['product']"),
 ])
 def test_malformed_input_ends_in_one_error_line(tmp_path, command, scenario, needle):
     # a fresh interpreter, so that a traceback would reach stderr
