@@ -15,10 +15,11 @@ computed prefix:
                      is constant;
   finite-module      a finite module under an infinite acting group has
                      bounded values, so the limit is zero;
-  sofic              log_card over Z with finite coefficients: the rows
-                     are path counts of an automaton (mwl.sofic), and the
-                     limit is log k when the largest spectral radius of
-                     its components is an integer k, proved exactly;
+  sofic              log_card or tors_log over Z with finite
+                     coefficients: the rows are weighted path counts of an
+                     automaton (mwl.sofic), and the limit is log k when
+                     the largest spectral radius of its components of live
+                     states is an integer k, proved exactly;
   constant           every computed ratio is the same exact value; this
                      is evidence about a prefix, reported without an
                      exactness claim (a finite quotient looks constant
@@ -57,7 +58,13 @@ from .values import (
     value_cmp,
     value_le,
 )
-from .weaklength import WeakLengthSpec, eval_weak_length, span_insert, span_length
+from .weaklength import (
+    WeakLengthSpec,
+    count_value,
+    eval_weak_length,
+    span_insert,
+    span_length,
+)
 
 DEFAULT_N_MAX_BUDGET = 4096  # coefficient_card ** n_max stays near this
 # Largest n_max.  Sofic rows are never truncated, and their Fekete checks
@@ -336,23 +343,24 @@ def _table_rows(a: FiniteSubset, spec: WeakLengthSpec, seq: FolnerBoxes):
     """The automaton that counts the rows of A, or None, and the rows as
     (value, method) in order of n.
 
-    log_card over Z with finite coefficients is counted by the
-    subset-construction automaton of mwl.sofic (method "sofic") unless it
-    passes its state cap.  Other rows are enumerated, each adding the
-    translates over the shell F_n minus F_(n-1) to the previous row: for
-    0 in A and a length-induced spec they go into one carried lattice,
-    as A^[F_n] and their union generate the same subgroup; else the orbit
-    sum is carried, and |X + Y| >= |X| makes |A^[F_n]| grow with n, so
-    the rows end at the first one past SET_CAP.
+    log_card and tors_log over Z with finite coefficients are counted by
+    the subset-construction automaton of mwl.sofic (method "sofic") unless
+    it passes its state cap; a tors_log count of 0 is the same domain
+    error as an enumerated set that meets no k-torsion.  Other rows are
+    enumerated, each adding the translates over the shell F_n minus
+    F_(n-1) to the previous row: for 0 in A and a length-induced spec they
+    go into one carried lattice, as A^[F_n] and their union generate the
+    same subgroup; else the orbit sum is carried, and |X + Y| >= |X| makes
+    |A^[F_n]| grow with n, so the rows end at the first one past SET_CAP.
     """
-    automaton = sofic.subset_automaton(a) if sofic.applies(a.ambient, spec) else None
+    automaton = sofic.subset_automaton(a, spec) if sofic.applies(a.ambient, spec) else None
     return automaton, _rows(a, spec, seq, automaton)
 
 
 def _rows(a, spec, seq, automaton):  # the generator behind _table_rows
     if automaton is not None:
         for count in automaton.counts(seq.n_max):
-            yield LengthValue.log_count(count), "sofic"
+            yield count_value(spec, count), "sofic"
     elif spec.length_induced and a.contains_zero():
         lattice = EchelonLattice()
         for n in range(1, seq.n_max + 1):

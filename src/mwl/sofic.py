@@ -13,16 +13,28 @@ positions.  A step picks the next choice c, emits carry[0] + c[0] and
 shifts in the rest of c; after the n choices, w - 1 steps without a
 choice emit the carry itself.
 
-The subset construction on the emitted symbols gives a DFA whose state
-after a prefix u is the set of carries that can emit u.  The words with
-prefix u are u followed by one of those carries, and distinct carries
-are distinct tails, so
+log_card counts every word; tors_log(k) counts the k-torsion ones, and a
+word is k-torsion iff each of its symbols is.  So the automaton keeps
+only the edges whose symbol counts (every symbol for log_card, the
+k-torsion ones for tors_log), and the subset construction on those
+symbols gives a DFA whose state after a prefix u is the set of carries
+that can emit u.  The words with prefix u are u followed by one of those
+carries, and distinct carries are distinct tails; the weight of a state
+is the number of its carries whose symbols all count.  So
 
-    |A^[F_n]| = sum over DFA states S of paths_n(start, S) * |S|.
+    count_n = sum over DFA states S of paths_n(start, S) * weight(S).
 
-Every state is reachable and weighs at least 1, so log|A^[F_n]| / n
-tends to log lambda, lambda the largest spectral radius of a strongly
-connected component of the DFA.
+Call a state live when it can reach a state of positive weight.  A path
+that ends in a live state passes only live states, so count_n is at most
+a polynomial in n times lambda^n, lambda the largest spectral radius of
+a strongly connected component of live states.  Conversely, count_1 > 0
+gives a choice a whose coefficients all count (tors_log is undefined
+otherwise), and choosing a again and again from a carry that counts
+emits symbols that count and leads to a carry that counts.  So a live
+state S that reaches a positive state in m steps reaches one in every
+number of steps from m on, count_N >= paths_n(start, S) for n <= N - m,
+and log count_n / n tends to log lambda.  For log_card every state
+weighs at least 1, so every state is live.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ import math
 from fractions import Fraction
 
 from .intmat import left_kernel
+from .weaklength import torsion_test
 
 # DFA states; a witness with a larger automaton is enumerated.  Timed on
 # random witnesses over C2..C5 of width 2..4 (12 rows, one CPU of a 2-vCPU
@@ -48,8 +61,9 @@ _TOL = 1e-9
 
 
 def applies(module, spec) -> bool:
-    """log_card on a plain module over finite coefficients, acted on by Z."""
-    return (spec.kind == "log_card" and module.action is None
+    """log_card or tors_log on a plain module over finite coefficients,
+    acted on by Z."""
+    return (spec.kind in ("log_card", "tors_log") and module.action is None
             and module.quotient is None and module.group.free_rank == 1
             and not module.group.torsion and module.coeff.free_rank == 0)
 
@@ -63,11 +77,11 @@ class SubsetAutomaton:
     __slots__ = ("sizes", "edges")
 
     def __init__(self, sizes: tuple[int, ...], edges: tuple[tuple[int, ...], ...]):
-        self.sizes = sizes  # carries in each state
+        self.sizes = sizes  # the weights: carries in each state that count
         self.edges = edges  # the successor of each state per emitted symbol
 
     def counts(self, n_max: int) -> list[int]:
-        """|A^[F_n]| for n = 1..n_max."""
+        """|A^[F_n]|, or its k-torsion count for tors_log, for n = 1..n_max."""
         paths = [0] * len(self.sizes)
         paths[0] = 1
         out = []
@@ -91,7 +105,7 @@ class SubsetAutomaton:
         and at least one has Mv = kv.  None when lambda is not an
         integer, or when no such vectors are found.
         """
-        blocks = _component_matrices(self.edges)
+        blocks = _component_matrices(self.edges, self.sizes)
         estimates = [_perron_estimate(rows) for rows in blocks]
         k = round(max((lo + hi) / 2 for lo, hi, _ in estimates))
         attained = False
@@ -110,12 +124,15 @@ class SubsetAutomaton:
         return k if attained else None
 
 
-def subset_automaton(a) -> SubsetAutomaton | None:
-    """The automaton of witness a (see the module docstring), or None
-    once the subset construction passes STATE_CAP states."""
+def subset_automaton(a, spec) -> SubsetAutomaton | None:
+    """The automaton of witness a under log_card or tors_log (see the
+    module docstring), or None once the subset construction passes
+    STATE_CAP states."""
     coeff = a.ambient.coeff
     zero = coeff._zero_item()
     add = coeff._add_items
+    counted = (torsion_test(spec.k, coeff._moduli) if spec.kind == "tors_log"
+               else lambda c: True)
     points = sorted({g[0] for item in a.items for g, _ in item})
     lo = points[0] if points else 0
     w = points[-1] - lo + 1 if points else 1
@@ -125,15 +142,17 @@ def subset_automaton(a) -> SubsetAutomaton | None:
         for g, c in item:
             window[g[0] - lo] = c
         windows.append(window)
-    moves = {}  # carry -> [(emitted symbol, next carry)] per window
+    moves = {}  # carry -> [(emitted symbol, next carry)] per window whose symbol counts
 
     def step(carry):
         out = moves.get(carry)
         if out is None:
             padded = carry + (zero,)
-            out = moves[carry] = [
-                (add(padded[0], c[0]), tuple(add(padded[i], c[i]) for i in range(1, w)))
-                for c in windows]
+            out = moves[carry] = []
+            for c in windows:
+                symbol = add(padded[0], c[0])
+                if counted(symbol):
+                    out.append((symbol, tuple(add(padded[i], c[i]) for i in range(1, w))))
         return out
 
     start = frozenset([(zero,) * (w - 1)])
@@ -158,12 +177,14 @@ def subset_automaton(a) -> SubsetAutomaton | None:
             successors.append(j)
         edges.append(tuple(successors))
         i += 1
-    return SubsetAutomaton(tuple(len(s) for s in states), tuple(edges))
+    weights = tuple(sum(all(map(counted, carry)) for carry in s) for s in states)
+    return SubsetAutomaton(weights, tuple(edges))
 
 
-def _component_matrices(edges) -> list[list[list[int]]]:
+def _component_matrices(edges, weights) -> list[list[list[int]]]:
     """Adjacency lists, in local indices, of the nontrivial strongly
-    connected components (Kosaraju; order fixed by the state numbering)."""
+    connected components of live states, those that can reach a state of
+    positive weight (Kosaraju; order fixed by the state numbering)."""
     n = len(edges)
     order, seen = [], [False] * n
     for root in range(n):
@@ -185,10 +206,19 @@ def _component_matrices(edges) -> list[list[list[int]]]:
     for v, successors in enumerate(edges):
         for u in successors:
             reverse[u].append(v)
+    live = [wt > 0 for wt in weights]
+    stack = [v for v in range(n) if live[v]]
+    while stack:
+        for u in reverse[stack.pop()]:
+            if not live[u]:
+                live[u] = True
+                stack.append(u)
+    # a component is live or dead as a whole, and the predecessors of a
+    # live state are live
     comp = [-1] * n
     blocks = []
     for root in reversed(order):
-        if comp[root] >= 0:
+        if comp[root] >= 0 or not live[root]:
             continue
         label = comp[root] = root
         members, stack = [root], [root]

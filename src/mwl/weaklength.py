@@ -111,6 +111,22 @@ def span_insert(lattice: EchelonLattice, ambient, items) -> None:
                         for g, c in terms(x) for i, v in enumerate(c) if v})
 
 
+def torsion_test(k: int, moduli):
+    """Whether a coefficient tuple read with these moduli is k-torsion:
+    k * v vanishes on each torsion coordinate and v on each free one."""
+    return lambda c: not any(k * v % m if m else v for v, m in zip(c, moduli))
+
+
+def count_value(spec: WeakLengthSpec, count: int) -> LengthValue:
+    """log_card or tors_log of a set with `count` elements, or `count`
+    k-torsion elements; tors_log is undefined on a set that meets no
+    k-torsion."""
+    if count == 0 and spec.kind == "tors_log":
+        raise DomainError(
+            f"set meets no {spec.k}-torsion; the torsion length is undefined here")
+    return LengthValue.log_count(count)
+
+
 def eval_weak_length(spec: WeakLengthSpec, ambient, a: FiniteSubset) -> LengthValue:
     """Evaluate a built-in weak length on a nonempty subset of a group or
     of a shift module.
@@ -124,28 +140,24 @@ def eval_weak_length(spec: WeakLengthSpec, ambient, a: FiniteSubset) -> LengthVa
         raise DomainError("weak lengths are defined on nonempty sets")
 
     if spec.kind == "log_card":
-        return LengthValue.log_count(len(a))
+        return count_value(spec, len(a))
 
     if spec.kind == "tors_log":
         # an item is k-torsion when every coefficient tuple is; many items
         # share their coefficient tuples, so each verdict is kept
-        k, moduli, terms = spec.k, ambient._moduli, ambient._terms
+        is_torsion, terms = torsion_test(spec.k, ambient._moduli), ambient._terms
         verdicts = {}
         count = 0
         for x in a.items:
             for _, c in terms(x):
                 ok = verdicts.get(c)
                 if ok is None:
-                    ok = verdicts[c] = not any(k * v % m if m else v
-                                               for v, m in zip(c, moduli))
+                    ok = verdicts[c] = is_torsion(c)
                 if not ok:
                     break
             else:
                 count += 1
-        if count == 0:
-            raise DomainError(
-                f"set meets no {spec.k}-torsion; the torsion length is undefined here")
-        return LengthValue.log_count(count)
+        return count_value(spec, count)
 
     if spec.length_induced:
         lattice = EchelonLattice()
@@ -275,6 +287,8 @@ def _invariance(spec, rng, index):
 
 def _upper_continuity(spec, rng, index):
     g = random_finite_group(rng)
+    # each set is the union of the one before and a new draw, so the union
+    # of the chain is its last set and l(union) = l(last set) holds as is
     chain = [_sample_sets(rng, spec, g, False, 3)]
     for _ in range(rng.below(3) + 1):
         chain.append(union(chain[-1], _sample_sets(rng, spec, g, False, 3)))
@@ -282,11 +296,6 @@ def _upper_continuity(spec, rng, index):
     for x, y in zip(vals, vals[1:]):
         if value_cmp(x, y) > 0:
             return {"group": str(g), "values": [str(v) for v in vals]}
-    total = chain[0]
-    for s in chain[1:]:
-        total = union(total, s)
-    if value_cmp(vals[-1], eval_weak_length(spec, g, total)) != 0:
-        return {"group": str(g), "values": [str(v) for v in vals]}
     return None
 
 

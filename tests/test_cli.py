@@ -419,3 +419,11 @@ def test_reader_closing_stdout_early_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+def test_mean_witness_without_torsion_exits_1(capsys, tmp_path):
+    # {delta_0, 3 delta_2} over C4 meets no 2-torsion in any orbit sum
+    scenario = {**c4_mean_scenario([[[[0], [1]]], [[[2], [3]]]]),
+                "weak_length": {"kind": "tors_log", "k": 2}}
+    err = _one_error_line(capsys, ["mean", "--scenario", write_scenario(tmp_path, scenario)])
+    assert err == "error: set meets no 2-torsion; the torsion length is undefined here\n"

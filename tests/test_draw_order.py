@@ -29,7 +29,7 @@ AXIOM_DIGESTS = {
     "log_card/regularity": "62638909a7aeebfd51736094e7b809797dd236d111fef0f6cdd21294aaef6003",
     "log_card/product": "985cdeb0505ade76f2a0cba627d2e634097893ec1b39c5be831152d1b5085720",
     "log_card/quotient": "b420d68c893258c320c16feb198895e6d54c1e53827fe31aa2f8585565ffb625",
-    "log_card/upper_continuity": "9bc45d23465cff0381e99d10f02d92e66adf6c7cd69c8a2291926d15969fd5e0",
+    "log_card/upper_continuity": "05fcfa2fd31b2238c57b532bdcccd7932940e3f8d12bad7e9ae944a097684144",
     "log_card/strong_quotient": "87a9fc8be1083ae9b7b50cedac1bdfaffc9d8b591af1d55703793ca11fd7a03c",
     "log_card/subadd_sum": "9e14356caa9c2a3c0b6a35a6b3c5ce3047e4a4cffaaac5845408b9638ae222e3",
     "log_card/union_vs_sum": "39c0a0cf945fd962aa8aed78dc27425c997b12fc898019708a97956af4a979b5",
@@ -37,7 +37,7 @@ AXIOM_DIGESTS = {
     "tors_log(2)/regularity": "62638909a7aeebfd51736094e7b809797dd236d111fef0f6cdd21294aaef6003",
     "tors_log(2)/product": "e4e450d87d8ed1db332c226721eebad33b3115e4491e5b70d747cc60418c5930",
     "tors_log(2)/quotient": "c29cda83327057e35596adfb53640414f84bcede409b786f8ac84a101ffe865e",
-    "tors_log(2)/upper_continuity": "e499930c20f815d1eb25fa84598abdd0bf3fbc24298dfdbfa80b4daabb0795fd",
+    "tors_log(2)/upper_continuity": "723f617e14a5728eb4e7f2ad869a7703557a80c188c9a676c17dc47d5d7b0950",
     "tors_log(2)/strong_quotient": "92559710575ed071488de913987f3796980c02a7e34da4f1a51fcb8e1305c9a1",
     "tors_log(2)/subadd_sum": "bb6824454c0c00e83d684b3e0f3efb431ec1eb4a90f3563c82e5ee613b3323b3",
     "tors_log(2)/union_vs_sum": "e70e1846cd88ec91aada43cc7fb32977d5a3650dbd91fa6714b98eb32303ffe5",
@@ -45,7 +45,7 @@ AXIOM_DIGESTS = {
     "rank/regularity": "62638909a7aeebfd51736094e7b809797dd236d111fef0f6cdd21294aaef6003",
     "rank/product": "985cdeb0505ade76f2a0cba627d2e634097893ec1b39c5be831152d1b5085720",
     "rank/quotient": "b420d68c893258c320c16feb198895e6d54c1e53827fe31aa2f8585565ffb625",
-    "rank/upper_continuity": "9bc45d23465cff0381e99d10f02d92e66adf6c7cd69c8a2291926d15969fd5e0",
+    "rank/upper_continuity": "05fcfa2fd31b2238c57b532bdcccd7932940e3f8d12bad7e9ae944a097684144",
     "rank/strong_quotient": "87a9fc8be1083ae9b7b50cedac1bdfaffc9d8b591af1d55703793ca11fd7a03c",
     "rank/subadd_sum": "9e14356caa9c2a3c0b6a35a6b3c5ce3047e4a4cffaaac5845408b9638ae222e3",
     "rank/union_vs_sum": "39c0a0cf945fd962aa8aed78dc27425c997b12fc898019708a97956af4a979b5",
@@ -53,7 +53,7 @@ AXIOM_DIGESTS = {
     "nu/regularity": "62638909a7aeebfd51736094e7b809797dd236d111fef0f6cdd21294aaef6003",
     "nu/product": "985cdeb0505ade76f2a0cba627d2e634097893ec1b39c5be831152d1b5085720",
     "nu/quotient": "b420d68c893258c320c16feb198895e6d54c1e53827fe31aa2f8585565ffb625",
-    "nu/upper_continuity": "9bc45d23465cff0381e99d10f02d92e66adf6c7cd69c8a2291926d15969fd5e0",
+    "nu/upper_continuity": "05fcfa2fd31b2238c57b532bdcccd7932940e3f8d12bad7e9ae944a097684144",
     "nu/strong_quotient": "87a9fc8be1083ae9b7b50cedac1bdfaffc9d8b591af1d55703793ca11fd7a03c",
     "nu/subadd_sum": "9e14356caa9c2a3c0b6a35a6b3c5ce3047e4a4cffaaac5845408b9638ae222e3",
     "nu/union_vs_sum": "39c0a0cf945fd962aa8aed78dc27425c997b12fc898019708a97956af4a979b5",
@@ -61,7 +61,7 @@ AXIOM_DIGESTS = {
     "gen/regularity": "62638909a7aeebfd51736094e7b809797dd236d111fef0f6cdd21294aaef6003",
     "gen/product": "4faae5ef2abed696c246aac942928aad2ac4750828192ba385cdf51e3b9bfd31",
     "gen/quotient": "b420d68c893258c320c16feb198895e6d54c1e53827fe31aa2f8585565ffb625",
-    "gen/upper_continuity": "9bc45d23465cff0381e99d10f02d92e66adf6c7cd69c8a2291926d15969fd5e0",
+    "gen/upper_continuity": "05fcfa2fd31b2238c57b532bdcccd7932940e3f8d12bad7e9ae944a097684144",
     "gen/strong_quotient": "b02816cd5d6cb6e2a9f975a44ad0e65b0aa221c4d6f663bcd3dae274088c566a",
     "gen/subadd_sum": "9e14356caa9c2a3c0b6a35a6b3c5ce3047e4a4cffaaac5845408b9638ae222e3",
     "gen/union_vs_sum": "39c0a0cf945fd962aa8aed78dc27425c997b12fc898019708a97956af4a979b5",

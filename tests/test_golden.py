@@ -22,6 +22,7 @@ SCENARIO_COMMANDS = {
     "addition-z4": "addition",
     "cover-strictness": "biv-eval",
     "gen-product": "wl-axioms",
+    "torsion-fibonacci": "mean",
     "z2-shift": "mean",
 }
 
@@ -30,6 +31,7 @@ GOLDEN = {
     "scenario:addition-z4": (0, "d15b87a108ac866badbcc034ad4e0397064e8df9ee35a29acdce7e0b561268c9"),
     "scenario:cover-strictness": (0, "16a5bbd7e73bc0bcc16275e04a2ebe95afac7bf6c580a77a25d66f17487ef07a"),
     "scenario:gen-product": (2, "560dc13bc9e2d173ba7735ecc3a56173d96e3735f6e2c8015e97b68912184364"),
+    "scenario:torsion-fibonacci": (0, "e8c39a275e561919286cd8c92f473e8381322c20ffe816d089376875b2ccc5ab"),
     "scenario:z2-shift": (0, "c4f030e4b424dcf2803486995f483655abb28b8ac5a0bc72b4a944659ccc6f8d"),
     "example:addition-coeff-z4": (0, "52b06cd67a5256c9d35ef7c77fd0f2e1295b6009ddbcf8920c2de7e6009547e7"),
     "example:addition-principal-z2": (0, "d06f6acdb3654f56e852af6e600ad494046293653e5ed58e0eea440d945f5c95"),
@@ -37,7 +39,7 @@ GOLDEN = {
     "example:scalar-range-bound": (0, "1737bc40230ee712e2c3d4483fa92cc814f1652aa97a34f78b6030b65aabed2a"),
     "example:scalar-range-log-k": (0, "823817b9fa9208b62876aaeb8314532aa3e24854de13663226e4240fd01fabb7"),
     "example:single-generator-zero": (0, "4682593da0c80388b8ad7f38d28e3d6a2a407f92db456683ee31419babecf13e"),
-    "example:torsion-nonadditive": (0, "b2f5a88e58cdecd7fb2ed89b99add42356324227cff9d09a5043a0a428a97757"),
+    "example:torsion-nonadditive": (0, "4f71c023ed54bf061e3a7e0f1318cefe9945f96c4aadb52fec1856670966a30b"),
     "example:z2-vs-z3": (0, "931c14030273d8fdcdabc00b426d1590b9166dd22fc76094c0502435fdec4815"),
     "biv-check": (0, "ed3ba2dcdf0f5ecf24fc0e6355e2d2b2ae2bfed624195d10741933da3c2826ea"),
 }

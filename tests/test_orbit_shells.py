@@ -33,7 +33,7 @@ from mwl.meanlen import (
 from mwl.sampling import XorShift64Star
 from mwl.subsets import FiniteSubset, minkowski_sum
 from mwl.values import LengthValue, value_add, value_cmp
-from mwl.weaklength import LOG_CARD, NU, RANK, tors_log
+from mwl.weaklength import GEN, LOG_CARD, NU, RANK, tors_log
 
 SET_CAP = subsets.SET_CAP
 CAP = 400
@@ -215,24 +215,25 @@ def test_easy_rows_match_rebuilt_orbit_sums(low_cap, monkeypatch, case):
     combined = minkowski_sum(sub, lift)
     seq = FolnerBoxes(Z, 7)
     reports = {spec.kind: addition_report(m2, n1, sub, total, lift, spec, seq)
-               for spec in (LOG_CARD, tors_log(2))}
+               for spec in (LOG_CARD, tors_log(2), GEN)}
 
-    # tors_log is not counted, so B + B1 is enumerated.  0 is in B and in
-    # B1, so B + B1 contains both parts and reaches the lowered cap first:
-    # the rows end where all three rebuilt orbit sums still fit
-    expected = _easy_rows_rebuilt(tors_log(2), combined, sub, pushed, seq)
+    # gen is not counted, so B + B1 is enumerated.  0 is in B and in B1,
+    # so B + B1 contains both parts and reaches the lowered cap first: the
+    # rows end where all three rebuilt orbit sums still fit
+    expected = _easy_rows_rebuilt(GEN, combined, sub, pushed, seq)
     assert len(expected) < seq.n_max
-    assert _rebuilt(tors_log(2), combined, seq, len(expected) + 1) is None
-    _check_easy_rows(reports["tors_log"], expected)
+    assert _rebuilt(GEN, combined, seq, len(expected) + 1) is None
+    _check_easy_rows(reports["gen"], expected)
 
-    # log_card over Z with finite coefficients: B + B1 is counted by
-    # mwl.sofic like the tables, so its rows run past the lowered cap to
-    # the end of the submodule and quotient tables
+    # log_card and tors_log over Z with finite coefficients: B + B1 is
+    # counted by mwl.sofic like the tables, so its rows run past the
+    # lowered cap to the end of the submodule and quotient tables
     assert _rebuilt(LOG_CARD, combined, seq, seq.n_max) is None
     monkeypatch.setattr(subsets, "SET_CAP", SET_CAP)
-    expected = _easy_rows_rebuilt(LOG_CARD, combined, sub, pushed, seq)
-    assert len(expected) == seq.n_max  # every row fits under the real cap
-    _check_easy_rows(reports["log_card"], expected)
+    for spec in (LOG_CARD, tors_log(2)):
+        expected = _easy_rows_rebuilt(spec, combined, sub, pushed, seq)
+        assert len(expected) == seq.n_max  # every row fits under the real cap
+        _check_easy_rows(reports[spec.kind], expected)
 
 
 def _z4_addition(sub_elements, lift_elements, spec, seq):
