@@ -227,20 +227,21 @@ def test_torsion_fibonacci_rows_with_a_thousand_rows():
     assert est.limit.kind is None and not est.limit.exact
 
 
-@pytest.mark.parametrize("windows, dead_radius", [
+@pytest.mark.parametrize("windows, untrimmed_base", [
     # {0, delta_1, delta_0 + delta_1}
     ([[(0,), (0,)], [(0,), (1,)], [(1,), (1,)]], 1),
     # and 3 delta_0 + 3 delta_1: odd carries then loop with radius 2 but
     # never emit a 2-torsion tail, so only the live states bound the growth
     ([[(0,), (0,)], [(0,), (1,)], [(1,), (1,)], [(3,), (3,)]], 2),
 ])
-def test_torsion_certificate_counts_only_live_states(windows, dead_radius):
+def test_torsion_certificate_counts_only_live_states(windows, untrimmed_base):
     m = ShiftModule(Z, FinAbGroup.of(4))
     a = _witness(m, windows)
     automaton = sofic.subset_automaton(a, tors_log(2))
     assert 0 in automaton.sizes  # a state without a 2-torsion carry
+    # the base the same edges give when every state counts as live
     every_state = sofic.SubsetAutomaton((1,) * len(automaton.sizes), automaton.edges)
-    assert every_state.limit_base() == dead_radius
+    assert every_state.limit_base() == untrimmed_base
     est = ratio_sequence(m, a, tors_log(2), FolnerBoxes(Z, 8))
     assert [r.value.count for r in est.rows] == [1] * 8
     assert est.limit.kind == "sofic" and est.limit.exact
