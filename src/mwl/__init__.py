@@ -25,7 +25,6 @@ from .finabelian import (
     hom_image,
     hom_kernel,
     quotient_group,
-    smith_normal_form,
     subgroup_generated,
     torsion_k,
 )
@@ -38,6 +37,7 @@ from .groupring import (
     orbit_sum,
     principal_quotient,
 )
+from .intmat import smith_normal_form
 from .meanlen import (
     FolnerBoxes,
     InvarianceParams,

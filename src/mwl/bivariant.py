@@ -16,7 +16,9 @@ kernel_witness builds, for a homomorphism phi, a finite B inside ker phi
 that realizes l(A, B) = l(phi(A)) exactly: the difference-set witness
 (A - A) meet ker phi for the cover upgrading, and a generating set of
 <A> meet ker phi for the quotient upgrading (exact over Z, so no
-epsilon slack is needed).
+epsilon slack is needed).  That generating set comes from one integer
+left kernel: the combinations x @ A with x @ phi(A) in the target's
+relations, brought to Hermite form together with the source relations.
 """
 
 from __future__ import annotations
@@ -24,15 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError
-from .finabelian import (
-    AbElement,
-    AbHom,
-    FinAbGroup,
-    direct_sum,
-    hom_kernel,
-    intersect_subgroups,
-    quotient_group,
-)
+from .finabelian import AbHom, FinAbGroup, direct_sum, quotient_group
+from .intmat import left_kernel, matmul, row_basis
 from .sampling import (
     random_automorphism,
     random_finite_group,
@@ -193,8 +188,8 @@ def kernel_witness(spec: BivariantSpec, phi: AbHom, a: FiniteSubset) -> FiniteSu
     """Finite B <= ker phi with l(A, B) = l(phi(A)).
 
     For cover_log this is (A - A) meet ker phi together with 0.  For
-    quotient_length it is a generating set of <A> meet ker phi, which
-    attains the bound exactly.
+    quotient_length it is the Hermite basis of the lattice of
+    <A> meet ker phi (with 0), which attains the bound exactly.
     """
     g = phi.source
     if a.ambient != g:
@@ -205,16 +200,13 @@ def kernel_witness(spec: BivariantSpec, phi: AbHom, a: FiniteSubset) -> FiniteSu
         members = [x for x in diffs if phi(x).is_zero()]
         return FiniteSubset.of(g, members + [g.zero()])
 
-    span_gens = list(a)
-    ker_rows = _kernel_generators(phi)
-    gens = intersect_subgroups(g, span_gens, ker_rows) if ker_rows else []
-    return FiniteSubset.of(g, gens + [g.zero()])
-
-
-def _kernel_generators(phi: AbHom):
-    # the rows of the inclusion matrix are the images of the kernel's generators
-    _, incl = hom_kernel(phi)
-    return [AbElement(phi.source, row) for row in incl.matrix]
+    # x @ A lies in ker phi exactly when x @ phi(A) lies in the target's
+    # relation lattice: one left kernel gives every such x
+    coords = [list(x.coords) for x in a]
+    images = [list(phi(x).coords) for x in a]
+    kernel = [w[:len(coords)] for w in left_kernel(images + phi.target.relation_rows())]
+    lattice = row_basis(matmul(kernel, coords) + g.relation_rows())
+    return FiniteSubset.of(g, [g.element(row) for row in lattice] + [g.zero()])
 
 
 def check_upgrading_proper(spec: BivariantSpec, seed: int, budget: int) -> CheckReport:

@@ -17,7 +17,6 @@ from itertools import product
 
 from .errors import DomainError
 from .intmat import (
-    invert_unimodular,
     lattice_intersection,
     left_kernel,
     matmul,
@@ -30,7 +29,6 @@ __all__ = [
     "FinAbGroup",
     "AbElement",
     "AbHom",
-    "smith_normal_form",
     "subgroup_generated",
     "quotient_group",
     "hom_kernel",
@@ -230,8 +228,7 @@ def presentation_from_relations(ambient_dim, relation_rows):
         n = ambient_dim
         eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         return FinAbGroup((), n), eye, eye
-    s, _, v = smith_normal_form(relation_rows)
-    vinv = invert_unimodular(v)
+    s, v, v_inv = smith_normal_form(relation_rows)
     r = min(len(s), len(s[0]))
     diag = [s[i][i] for i in range(r)] + [0] * (ambient_dim - r)
     torsion_idx = [i for i, d in enumerate(diag) if d >= 2]
@@ -239,7 +236,7 @@ def presentation_from_relations(ambient_dim, relation_rows):
     kept = torsion_idx + free_idx
     group = FinAbGroup(tuple(diag[i] for i in torsion_idx), len(free_idx))
     proj = [[v[i][j] for j in kept] for i in range(ambient_dim)]
-    section = [list(vinv[j]) for j in kept]
+    section = [list(v_inv[j]) for j in kept]
     return group, proj, section
 
 

@@ -3,8 +3,13 @@
 Everything here works on plain Python ints, so all values stay exact at
 any magnitude.  Matrices are row-major lists and lattices are spanned by
 rows; a "transform" is always a unimodular matrix acting on the left or
-right.  EchelonLattice grows one echelon basis vector by vector, with no
-transform, for callers that only need the rank and the index it gives.
+right.  The Smith form returns its right transform v with v's inverse
+(what a presentation needs to lift generators back) and no left
+transform.  left_kernel is the one kernel routine: kernels of group
+homomorphisms, of F_p matrices (stacked over p*I) and of the sofic
+transfer systems all come from it.  EchelonLattice grows one echelon
+basis vector by vector, with no transform, for callers that only need
+the rank and the index it gives.
 """
 
 from __future__ import annotations
@@ -49,17 +54,19 @@ def _add_col(m, dst, src, q):
 
 
 def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (s, u, v) with s = u @ m @ v.
+    """Return (s, v, v_inv) with s = u @ m @ v for some unimodular u.
 
     s is diagonal with non-negative entries forming a divisibility chain
-    (each entry divides the next); u and v are unimodular.  Empty matrices
-    come back unchanged with identity transforms.
+    (each entry divides the next); v is unimodular and v_inv its inverse,
+    kept by mirroring each column operation on v as the inverse row
+    operation on v_inv.  u is not built: rowspan(m @ v) = rowspan(s).
+    Empty matrices come back unchanged with identity transforms.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = mat_copy(m)
-    u = identity(rows)
     v = identity(cols)
+    v_inv = identity(cols)
 
     t = 0
     while t < min(rows, cols):
@@ -75,10 +82,10 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
             break
         if pi != t:
             _swap_rows(a, t, pi)
-            _swap_rows(u, t, pi)
         if pj != t:
             _swap_cols(a, t, pj)
             _swap_cols(v, t, pj)
+            _swap_rows(v_inv, t, pj)
 
         while True:
             # Clear the pivot column with row operations.
@@ -86,13 +93,10 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
             for i in range(t + 1, rows):
                 if a[i][t] == 0:
                     continue
-                q = a[i][t] // a[t][t]
-                _add_row(a, i, t, -q)
-                _add_row(u, i, t, -q)
+                _add_row(a, i, t, -(a[i][t] // a[t][t]))
                 if a[i][t] != 0:
                     # Remainder is a smaller pivot; promote it.
                     _swap_rows(a, t, i)
-                    _swap_rows(u, t, i)
                     dirty = True
             if dirty:
                 continue
@@ -103,9 +107,11 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
                 q = a[t][j] // a[t][t]
                 _add_col(a, j, t, -q)
                 _add_col(v, j, t, -q)
+                _add_row(v_inv, t, j, q)  # inverse of the column operation
                 if a[t][j] != 0:
                     _swap_cols(a, t, j)
                     _swap_cols(v, t, j)
+                    _swap_rows(v_inv, t, j)
                     dirty = True
             if dirty:
                 continue
@@ -122,14 +128,12 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
             if stray is None:
                 break
             _add_row(a, t, stray, 1)
-            _add_row(u, t, stray, 1)
         t += 1
 
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             _add_row(a, i, i, -2)  # negate row: r - 2r
-            _add_row(u, i, i, -2)
-    return a, u, v
+    return a, v, v_inv
 
 
 def hermite_form(m) -> tuple[list[list[int]], list[list[int]]]:

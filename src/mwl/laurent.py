@@ -13,18 +13,20 @@ normal form, and only multiplication by t can leave the complement.
 Submodules of the Laurent module are handled by t-normalizing the
 generators into F_p[t]^k and then t-saturating the polynomial module
 (dividing out combinations that vanish mod t) so that polynomial
-membership agrees with Laurent membership.  When the quotient is finite,
-the staircase is a square upper triangular matrix B, and its
-determinant f, the product of the pivot polynomials, kills every class
-(adj(B) B = f I).  f is also the characteristic polynomial of t on the
-quotient, and saturation makes t one-to-one, hence invertible, on a
-finite quotient, so f(0) != 0.  The polynomial u = -(f - f(0)) / (t f(0))
-then satisfies t u = 1 - f / f(0), which acts as 1: u is t^-1 on the
-quotient.  Classes of elements with negative support get canonical
+membership agrees with Laurent membership.  Those combinations come from
+the integer left kernel of the rows' constant terms stacked over p*I
+(intmat.left_kernel), read mod p; the saturated module does not depend
+on which kernel basis is used, so neither do the normal forms.  When the
+quotient is finite, the staircase is a square upper triangular matrix B,
+and its determinant f, the product of the pivot polynomials, kills every
+class (adj(B) B = f I).  f is also the characteristic polynomial of t on
+the quotient, and saturation makes t one-to-one, hence invertible, on a
+finite quotient, so f(0) != 0.  The polynomial
+u = -(f - f(0)) / (t f(0)) then satisfies t u = 1 - f / f(0), which
+acts as 1: u is t^-1 on the quotient.  Classes of elements with negative support get canonical
 representatives by multiplying with a power of u and reducing once.
 With free directions left in the quotient there is no
-translation-consistent representative and the configuration is
-rejected.
+translation-consistent representative and the configuration is rejected.
 
 Polynomials are coefficient tuples, lowest degree first, with no
 trailing zeros; () is zero.  A Laurent vector is a polynomial vector
@@ -34,7 +36,7 @@ with a degree offset: (vec, low) stands for t^low * vec.
 from __future__ import annotations
 
 from .errors import ConfigurationError
-from .intmat import exponent_sum
+from .intmat import exponent_sum, left_kernel
 
 
 def pnorm(coeffs, p):
@@ -111,37 +113,6 @@ def pxgcd(a, b, p):
     return pmonic(r0, p), pscale(s0, c, p), pscale(t0, c, p)
 
 
-def _fp_kernel(rows, width, p):
-    """Basis of the right kernel of a matrix over F_p (rows of length width)."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    pivots = {}
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, n) if mat[i][col] % p), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][col], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][col] % p:
-                f = mat[i][col]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots[col] = r
-        r += 1
-    basis = []
-    for col in range(width):
-        if col in pivots:
-            continue
-        vec = [0] * width
-        vec[col] = 1
-        for pcol, prow in pivots.items():
-            vec[pcol] = (-mat[prow][col]) % p
-        basis.append(tuple(vec))
-    return basis
-
-
 class StaircaseBasis:
     """Echelon basis of a t-saturated submodule of F_p[t]^k."""
 
@@ -196,12 +167,14 @@ class StaircaseBasis:
 
     def _saturate(self):
         p = self.p
+        modulus = [[p if i == j else 0 for j in range(self.k)] for i in range(self.k)]
         while True:
             if not self.rows:
                 return
             consts = [[(c[0] if c else 0) for c in row] for row in self.rows]
+            # gamma @ consts = 0 mod p; zip below drops gamma's p*I part
             added = False
-            for gamma in _fp_kernel(_transpose(consts), len(self.rows), p):
+            for gamma in left_kernel(consts + modulus):
                 combo = [()] * self.k
                 for coeff, row in zip(gamma, self.rows):
                     if coeff:
@@ -286,12 +259,6 @@ class StaircaseBasis:
             if not m:
                 return power
             base = pdivmod(pmul(base, base, p), f, p)[1]
-
-
-def _transpose(rows):
-    if not rows:
-        return []
-    return [list(col) for col in zip(*rows)]
 
 
 def laurent_normal_form(staircase: StaircaseBasis, vec, low: int):

@@ -432,8 +432,12 @@ def mean_lower_bound(module: ShiftModule, witnesses, spec: WeakLengthSpec,
     """Best certified witness value; a lower bound for the module mean.
 
     Only witnesses containing 0 contribute to the bound channel (the
-    mean is a sup over base-pointed sets); per-witness running infima
-    are reported alongside as upper bounds for those witnesses' limits.
+    mean is a sup over base-pointed sets).  Each witness's estimate
+    carries its running infimum; that is an upper bound for the
+    witness's limit only where rows are subadditive (Fekete), as for
+    log_card, rank, nu and gen.  tors_log rows need not be: under
+    tors_log(2) the witness {0, d0, d1} over C4 has running infimum 0
+    and limit log((1 + sqrt 5) / 2).
     """
     estimates = []
     bound = None

@@ -14,7 +14,17 @@ from mwl.bivariant import (
     quotient_bivariant,
 )
 from mwl.errors import ConfigurationError, DomainError
-from mwl.finabelian import AbHom, FinAbGroup, direct_sum, quotient_group, subgroup_generated
+from mwl.finabelian import (
+    AbElement,
+    AbHom,
+    FinAbGroup,
+    direct_sum,
+    hom_kernel,
+    intersect_subgroups,
+    quotient_group,
+    subgroup_generated,
+)
+from mwl.sampling import XorShift64Star, random_finite_group, random_hom, random_subset
 from mwl.scenario import read_bivariant
 from mwl.subsets import FiniteSubset, map_subset, minkowski_sum, product_subset, union
 from mwl.values import LengthValue, value_add, value_cmp
@@ -193,6 +203,41 @@ def test_kernel_witness_quotient_length():
     assert img_rank == LengthValue.rational(1)
 
 
+def _reference_quotient_witness(phi, a):
+    """Slow path: generators of ker phi from hom_kernel, intersected with
+    <A> by intersect_subgroups."""
+    g = phi.source
+    _, incl = hom_kernel(phi)
+    ker_gens = [AbElement(g, row) for row in incl.matrix]
+    gens = intersect_subgroups(g, list(a), ker_gens) if ker_gens else []
+    return FiniteSubset.of(g, gens + [g.zero()])
+
+
+QUOTIENT_NU = BivariantSpec("quotient_length", NU)
+
+
+def test_quotient_kernel_witness_matches_reference_on_seeded_instances():
+    rng = XorShift64Star(0x51DE)
+    for _ in range(1000):
+        g = random_finite_group(rng)
+        h = random_finite_group(rng)
+        a = random_subset(rng, g)
+        phi = random_hom(rng, g, h)
+        assert kernel_witness(QUOTIENT_NU, phi, a) == _reference_quotient_witness(phi, a)
+
+
+@pytest.mark.parametrize("rows", [[[1], [2]], [[3], [-6]], [[1], [0]], [[0], [0]]], ids=str)
+@pytest.mark.parametrize("coords", [[[1, 0], [0, 1]], [[2, 1], [1, 3]], [[0, 0], [1, 1], [3, -1]]],
+                         ids=str)
+def test_quotient_kernel_witness_matches_reference_on_free_maps(rows, coords):
+    z2, z = FinAbGroup.free(2), FinAbGroup.free(1)
+    phi = AbHom.from_rows(z2, z, rows)
+    a = subset(z2, coords)
+    witness = kernel_witness(QUOTIENT_NU, phi, a)
+    assert witness == _reference_quotient_witness(phi, a)
+    assert all(phi(x).is_zero() for x in witness)
+
+
 def test_degenerate_triple_all_zero():
     g = FinAbGroup.cyclic(4)
     zero = subset(g, [[0]])
@@ -213,8 +258,6 @@ def test_upgrading_proper_on_seeded_samples(spec):
 
 def test_additivity_of_quotient_upgrading():
     # l(A u B) = l(A, B) + l(B) for the length-induced upgrading
-    from mwl.sampling import XorShift64Star, random_finite_group, random_subset
-
     spec = BivariantSpec("quotient_length", NU)
     rng = XorShift64Star(77)
     for _ in range(100):

@@ -59,10 +59,10 @@ def invariant_factors_oracle(m):
 
 
 def check_snf(m):
-    s, u, v = smith_normal_form(m)
-    assert matmul(matmul(u, m), v) == s
-    assert abs(det_exact(u)) == 1
-    assert abs(det_exact(v)) == 1
+    s, v, v_inv = smith_normal_form(m)
+    cols = len(m[0]) if m else 0
+    assert matmul(v, v_inv) == identity(cols)
+    assert row_basis(matmul(m, v)) == row_basis(s)
     diag = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
     for i in range(len(s)):
         for j in range(len(s[0])):
@@ -83,10 +83,10 @@ def test_snf_worked_example():
 
 
 def test_snf_identity():
-    s, u, v = smith_normal_form(identity(3))
+    s, v, v_inv = smith_normal_form(identity(3))
     assert s == identity(3)
-    assert u == identity(3)
     assert v == identity(3)
+    assert v_inv == identity(3)
 
 
 def test_snf_zero_matrix():
@@ -135,11 +135,14 @@ def test_hermite_random(m):
 
 def test_snf_huge_entries_stay_exact():
     big = 10 ** 30
-    s, u, v = smith_normal_form([[2 * big, 4 * big], [6 * big, 8 * big + 2]])
-    assert matmul(matmul(u, [[2 * big, 4 * big], [6 * big, 8 * big + 2]]), v) == s
-    assert abs(det_exact(u)) == 1 and abs(det_exact(v)) == 1
+    m = [[2 * big, 4 * big], [6 * big, 8 * big + 2]]
+    s, v, v_inv = smith_normal_form(m)
+    assert matmul(v, v_inv) == identity(2)
+    assert row_basis(matmul(m, v)) == row_basis(s)
     diag = [s[0][0], s[1][1]]
+    assert s[0][1] == s[1][0] == 0
     assert diag[0] > 0 and diag[1] % diag[0] == 0
+    assert diag[0] * diag[1] == abs(det_exact(m))
 
 
 def test_solve_left():

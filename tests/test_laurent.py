@@ -155,3 +155,31 @@ def test_negative_support_normal_form_is_canonical(data):
     # single out the canonical representative of t^low * vec
     assert s.reduce(r) == r
     assert s.reduce([(0,) * -low + c if c else c for c in r]) == s.reduce(vec)
+
+
+def _staircase_view(s, vectors):
+    """What a staircase exposes: finiteness, (pivot position, pivot
+    degree) per row, and the normal forms of the given vectors."""
+    pivots = [next((pos, len(c) - 1) for pos, c in enumerate(row) if c) for row in s.rows]
+    return s.is_finite_quotient, pivots, [s.reduce(v) for v in vectors]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_staircase_does_not_depend_on_generator_order(data):
+    # Saturation picks F_p-combinations of the rows from an integer left
+    # kernel; the saturated module, and so everything read from it, must
+    # not depend on the order or redundancy of the generators.
+    from mwl.laurent import padd
+
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
+    gens = [[_poly(data, p, 4) for _ in range(k)] for _ in range(n)]
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    variants = [data.draw(st.permutations(gens)),
+                gens + [[padd(x, y, p) for x, y in zip(gens[i], gens[j])]]]
+    vectors = [[_poly(data, p, 6) for _ in range(k)] for _ in range(3)]
+    view = _staircase_view(StaircaseBasis(p, k, gens), vectors)
+    for other in variants:
+        assert _staircase_view(StaircaseBasis(p, k, other), vectors) == view
