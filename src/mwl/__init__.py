@@ -20,7 +20,6 @@ from .finabelian import (
     AbElement,
     AbHom,
     FinAbGroup,
-    cardinality,
     direct_sum,
     hom_image,
     hom_kernel,

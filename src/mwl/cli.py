@@ -142,8 +142,6 @@ def _cmd_addition(args):
 
 
 def _cmd_example(args):
-    if args.name == "list":
-        return _cmd_list_examples(args)
     report = run_example(args.name, args.n_max)
     table = [f"example {report.name}: {'PASS' if report.passed else 'FAIL'}",
              report.description, ""]
@@ -200,6 +198,9 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
+    # Python >= 3.10.7 caps int <-> str at 4300 digits; exact values pass it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         code, report, table = _HANDLERS[args.command](args)

@@ -17,6 +17,7 @@ from itertools import product
 
 from .errors import DomainError
 from .intmat import (
+    identity,
     lattice_intersection,
     left_kernel,
     matmul,
@@ -34,7 +35,6 @@ __all__ = [
     "hom_kernel",
     "hom_image",
     "torsion_k",
-    "cardinality",
     "direct_sum",
 ]
 
@@ -68,12 +68,6 @@ class FinAbGroup:
     @staticmethod
     def free(rank: int) -> "FinAbGroup":
         return FinAbGroup((), rank)
-
-    @staticmethod
-    def cyclic(m: int) -> "FinAbGroup":
-        if m == 0:
-            return FinAbGroup((), 1)
-        return FinAbGroup((m,), 0)
 
     @staticmethod
     def of(*factors: int) -> "FinAbGroup":
@@ -196,9 +190,7 @@ class AbHom:
 
     @staticmethod
     def identity(group: FinAbGroup) -> "AbHom":
-        n = group.ambient_dim
-        return AbHom.from_rows(group, group,
-                               [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return AbHom.scalar(group, 1)
 
     @staticmethod
     def scalar(group: FinAbGroup, k: int) -> "AbHom":
@@ -206,15 +198,12 @@ class AbHom:
         return AbHom.from_rows(group, group,
                                [[k if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def apply(self, elt: AbElement) -> AbElement:
+    def __call__(self, elt: AbElement) -> AbElement:
         if elt.group != self.source:
             raise DomainError("element not in the source group")
         vec = [sum(elt.coords[i] * self.matrix[i][j] for i in range(len(self.matrix)))
                for j in range(self.target.ambient_dim)]
         return AbElement(self.target, self.target.reduce(vec))
-
-    def __call__(self, elt: AbElement) -> AbElement:
-        return self.apply(elt)
 
 
 def presentation_from_relations(ambient_dim, relation_rows):
@@ -225,9 +214,8 @@ def presentation_from_relations(ambient_dim, relation_rows):
     matrix lifting each canonical generator back to Z^ambient_dim.
     """
     if not relation_rows:
-        n = ambient_dim
-        eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return FinAbGroup((), n), eye, eye
+        eye = identity(ambient_dim)
+        return FinAbGroup((), ambient_dim), eye, eye
     s, v, v_inv = smith_normal_form(relation_rows)
     r = min(len(s), len(s[0]))
     diag = [s[i][i] for i in range(r)] + [0] * (ambient_dim - r)
@@ -298,10 +286,6 @@ def torsion_k(g: FinAbGroup, k: int) -> tuple[FinAbGroup, AbHom]:
     if k < 1:
         raise DomainError("torsion order must be a positive integer")
     return hom_kernel(AbHom.scalar(g, k))
-
-
-def cardinality(g: FinAbGroup) -> int | float:
-    return g.cardinality()
 
 
 def direct_sum(g: FinAbGroup, h: FinAbGroup) -> tuple[FinAbGroup, AbHom, AbHom]:

@@ -251,9 +251,6 @@ class GRElement:
     module: ShiftModule
     items: tuple
 
-    def items_key(self):
-        return self.items
-
     def __add__(self, other):
         if self.module != other.module:
             raise DomainError("elements of different modules")

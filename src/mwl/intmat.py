@@ -192,27 +192,24 @@ def row_basis(rows) -> list[list[int]]:
 def solve_left(basis, target) -> list[int] | None:
     """Solve x @ basis = target over the integers, or None.
 
-    basis rows need not be echelonized; membership in their row span is
-    decided exactly.
+    basis is a Hermite row basis, as row_basis returns it, so x is unique
+    and comes from back substitution; any other basis raises ValueError.
     """
-    if not basis:
-        return [] if not any(target) else None
-    h, t = hermite_form(basis)
+    pivots = [next((j for j, e in enumerate(row) if e), len(row)) for row in basis]
+    for i, (row, p) in enumerate(zip(basis, pivots)):
+        if (p == len(row) or row[p] < 0 or (i and p <= pivots[i - 1])
+                or any(not 0 <= above[p] < row[p] for above in basis[:i])):
+            raise ValueError("basis is not in Hermite form")
     v = list(target)
-    y = [0] * len(h)
-    for i, row in enumerate(h):
-        piv = next((j for j, e in enumerate(row) if e != 0), None)
-        if piv is None:
-            break
-        q, rem = divmod(v[piv], row[piv])
+    x = []
+    for row, p in zip(basis, pivots):
+        q, rem = divmod(v[p], row[p])
         if rem:
             return None
-        y[i] = q
-        for k in range(len(v)):
+        x.append(q)
+        for k in range(p, len(v)):
             v[k] -= q * row[k]
-    if any(v):
-        return None
-    return [sum(y[i] * t[i][k] for i in range(len(h))) for k in range(len(t))]
+    return None if any(v) else x
 
 
 def left_kernel(m) -> list[list[int]]:

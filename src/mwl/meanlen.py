@@ -19,11 +19,10 @@ computed prefix:
                      coefficients: the rows are weighted path counts of an
                      automaton (mwl.sofic), and the limit is log k when
                      the largest spectral radius of its components of live
-                     states is an integer k, proved exactly;
-  constant           every computed ratio is the same exact value; this
-                     is evidence about a prefix, reported without an
-                     exactness claim (a finite quotient looks constant
-                     before it saturates).
+                     states is an integer k, proved exactly.
+
+A table no rule covers has no certificate; its flag constant_exact is
+prefix evidence only (a finite quotient looks constant before it saturates).
 
 Computed rows are always checked against an applicable structural rule,
 so a disagreement raises instead of misreporting.  Sofic rows are counted,
@@ -176,7 +175,7 @@ class RatioRow:
 
 @dataclass(frozen=True)
 class CertificateInfo:
-    kind: str | None  # product-structure | finite-module | sofic | constant | None
+    kind: str | None  # product-structure | finite-module | sofic | None
     ratio: MeanRatio | None
     exact: bool
 
@@ -329,7 +328,7 @@ def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
         doubling_ok = all(ratio_le(ratio_at[2 * n], ratio_at[n])
                           for n in ratio_at if 2 * n in ratio_at)
 
-    limit = _limit_certificate(module, structural, automaton, ratios[0], constant_exact)
+    limit = _limit_certificate(module, structural, automaton, ratios[0])
     return MeanEstimate(
         spec=spec, rows=tuple(rows), running_inf=running_inf,
         zero_in_a=zero_in_a, symmetric_a=symmetric_a,
@@ -396,8 +395,7 @@ def _fekete_ok(values) -> bool:
     return all(value_le(v[n + m], value_add(v[n], v[m])) for n, m in pairs)
 
 
-def _limit_certificate(module, structural, automaton, first_ratio,
-                       constant_exact) -> CertificateInfo:
+def _limit_certificate(module, structural, automaton, first_ratio) -> CertificateInfo:
     if structural is not None:
         return CertificateInfo("product-structure", MeanRatio(structural, 1), True)
     if module.cardinality() != INFINITE and module.group.cardinality() == INFINITE:
@@ -407,9 +405,6 @@ def _limit_certificate(module, structural, automaton, first_ratio,
     base = automaton.limit_base() if automaton is not None else None
     if base is not None:
         return CertificateInfo("sofic", MeanRatio(LengthValue.log_count(base), 1), True)
-    if constant_exact:
-        # prefix evidence only: a finite quotient looks constant early on
-        return CertificateInfo("constant", first_ratio, False)
     return CertificateInfo(None, None, False)
 
 

@@ -247,4 +247,8 @@ def addition(path, n_max):
     witnesses = _object(s["witnesses"], "witnesses", WITNESS_KEYS)
     w_sub, w_total, w_lift = (_set(module, module.element, witnesses[key], f"witnesses.{key}")
                               for key in WITNESS_KEYS)
+    _, project = quotient
+    for i, x in enumerate(witnesses["submodule"]):
+        if not project(module.element(x)).is_zero():
+            raise ConfigurationError(f"witnesses.submodule[{i}]: leaves the submodule")
     return module, quotient, w_sub, w_total, w_lift, spec, seq

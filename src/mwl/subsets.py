@@ -31,10 +31,12 @@ class FiniteSubset:
     def of(ambient, elements) -> "FiniteSubset":
         items = set()
         for e in elements:
-            parent = getattr(e, "group", None) or getattr(e, "module", None)
-            if parent != ambient:
+            if getattr(e, "group", None) == ambient:
+                items.add(e.coords)
+            elif getattr(e, "module", None) == ambient:
+                items.add(e.items)
+            else:
                 raise DomainError("element does not belong to the ambient object")
-            items.add(_item_of(e))
         if not items:
             raise DomainError("finite subsets must be nonempty")
         return FiniteSubset(ambient, frozenset(items))
@@ -61,19 +63,9 @@ class FiniteSubset:
     def contains_zero(self) -> bool:
         return self.ambient._zero_item() in self.items
 
-    def with_zero(self) -> "FiniteSubset":
-        return FiniteSubset(self.ambient, self.items | {self.ambient._zero_item()})
-
     def is_symmetric(self) -> bool:
         neg = self.ambient._neg_item
         return all(neg(i) in self.items for i in self.items)
-
-
-def _item_of(element):
-    coords = getattr(element, "coords", None)
-    if coords is not None:
-        return coords
-    return element.items_key()
 
 
 def minkowski_sum(a: FiniteSubset, b: FiniteSubset) -> FiniteSubset:

@@ -241,7 +241,7 @@ def _regularity(spec, rng, index):
 
 def _product(spec, rng, index):
     if index == 0:
-        g1, g2 = FinAbGroup.cyclic(2), FinAbGroup.cyclic(3)
+        g1, g2 = FinAbGroup((2,)), FinAbGroup((3,))
         a1 = FiniteSubset.of(g1, list(g1.elements()))
         a2 = FiniteSubset.of(g2, list(g2.elements()))
     else:

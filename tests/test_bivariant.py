@@ -85,7 +85,7 @@ def test_cover_candidate_cap():
 
 
 def test_cover_deterministic_lex_witness():
-    g = FinAbGroup.cyclic(6)
+    g = FinAbGroup.of(6)
     a = subset(g, [[0], [1], [2], [3]])
     b = subset(g, [[0], [3]])
     v1, c1 = cover_bivariant(g, a, b)
@@ -116,7 +116,7 @@ def cover_instances(draw):
     kind = draw(st.sampled_from(["cyclic", "c2xc4", "box"]))
     if kind == "cyclic":
         n = draw(st.integers(2, 12))
-        g = FinAbGroup.cyclic(n)
+        g = FinAbGroup.of(n)
         coords = st.tuples(st.integers(0, n - 1))
     elif kind == "c2xc4":
         g = FinAbGroup.of(2, 4)
@@ -141,7 +141,7 @@ def test_cover_matches_brute_force_first_minimum_cover(instance):
 
 def test_cover_log_product_is_only_submultiplicative():
     # C3 x C3 is covered by 3 translates of {0,1}^2, while each C3 needs 2
-    c3 = FinAbGroup.cyclic(3)
+    c3 = FinAbGroup.of(3)
     a = subset(c3, [[0], [1], [2]])
     b = subset(c3, [[0], [1]])
     total, e1, e2 = direct_sum(c3, c3)
@@ -161,14 +161,14 @@ def test_quotient_bivariant_examples():
     assert quotient_bivariant(spec_rank, g, a, subset(g, [[0, 0]])) == LengthValue.rational(2)
 
     spec_nu = BivariantSpec("quotient_length", NU)
-    z4 = FinAbGroup.cyclic(4)
+    z4 = FinAbGroup.of(4)
     assert quotient_bivariant(spec_nu, z4, subset(z4, [[1]]), subset(z4, [[2]])) \
         == LengthValue.rational(1)
 
 
 def test_kernel_witness_cover_log():
     z = FinAbGroup.free(1)
-    z2 = FinAbGroup.cyclic(2)
+    z2 = FinAbGroup.of(2)
     phi = AbHom.from_rows(z, z2, [[1]])
     a = subset(z, [[0], [1], [2], [3]])
     b = kernel_witness(COVER_LOG, phi, a)
@@ -179,7 +179,7 @@ def test_kernel_witness_cover_log():
 
 
 def test_kernel_witness_injective_hom():
-    g = FinAbGroup.cyclic(5)
+    g = FinAbGroup.of(5)
     phi = AbHom.identity(g)
     a = subset(g, [[1], [2]])
     b = kernel_witness(COVER_LOG, phi, a)
@@ -239,7 +239,7 @@ def test_quotient_kernel_witness_matches_reference_on_free_maps(rows, coords):
 
 
 def test_degenerate_triple_all_zero():
-    g = FinAbGroup.cyclic(4)
+    g = FinAbGroup.of(4)
     zero = subset(g, [[0]])
     for spec in (COVER_LOG, BivariantSpec("quotient_length", NU)):
         assert bivariant_eval(spec, g, zero, zero).is_zero()

@@ -117,10 +117,6 @@ def test_example_and_list(capsys):
     assert code2 == 0
     assert json_part(out2)["result"]["passed"]
 
-    code3, out3 = invoke(capsys, "example", "list")
-    assert code3 == 0
-    assert json_part(out3)["result"]["examples"] == names
-
 
 def test_unknown_example_exits_1(capsys):
     code = run(["example", "definitely-not-known"])
@@ -136,6 +132,29 @@ def test_malformed_json_exits_1(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert "line" in err and "column" in err
+
+
+# the interpreter's default int <-> str limit is 4300 digits
+def test_scenario_integer_past_4300_digits(capsys, tmp_path):
+    scenario = tmp_path / "big.json"
+    scenario.write_text('{"group": {"free_rank": 1}, "weak_length": {"kind": "log_card"}, '
+                        '"set": [[0], [1' + "0" * 5000 + ']]}')
+    code, out = invoke(capsys, "wl-eval", "--scenario", str(scenario))
+    assert code == 0
+    assert json_part(out)["result"]["value"] == {"kind": "log", "count": 2}
+
+
+def test_mean_rows_past_4300_digits(capsys, tmp_path):
+    # {0, delta} over C2 under Z^2: product-structure rows 2^(n^2), 4335 digits at n = 120
+    scenario = {"module": {"group": {"free_rank": 2}, "coeff": {"torsion": [2]}},
+                "weak_length": {"kind": "log_card"}, "witness": [[], [[[0, 0], [1]]]]}
+    code, out = invoke(capsys, "mean", "--scenario", write_scenario(tmp_path, scenario),
+                       "--n-max", "120")
+    assert code == 0
+    result = json_part(out)["result"]
+    assert result["rows"][-1]["count_or_value"]["count"] == 2 ** (120 * 120)
+    assert result["limit"]["exact"]
+    assert f"log {2 ** (120 * 120)}" in out
 
 
 def test_wl_eval(capsys, tmp_path):
@@ -321,6 +340,9 @@ def _folner_kind(kind):
     ("wl-axioms", _shipped("gen-product", axioms=[]), "axioms: must name at least one axiom"),
     ("wl-axioms", _shipped("gen-product", axioms=[["product"]]),
      "axioms[0]: unknown axiom ['product']"),
+    ("addition", _shipped("addition-z4", witnesses={
+        "submodule": [[], [[[0], [1]]]], "total": [[]], "quotient": [[]]}),
+     "error: witnesses.submodule[1]: leaves the submodule"),
 ])
 def test_malformed_input_ends_in_one_error_line(tmp_path, command, scenario, needle):
     # a fresh interpreter, so that a traceback would reach stderr

@@ -151,6 +151,10 @@ def test_solve_left():
     assert solve_left(basis, [1, 0]) is None
     assert solve_left([], [0, 0]) == []
     assert solve_left([], [1, 0]) is None
+    for not_hermite in ([[0, 3], [2, 0]], [[-2, 0], [0, 3]], [[2, 5], [0, 3]],
+                        [[2, 0], [0, 0]], [[2, 0], [2, 3]]):
+        with pytest.raises(ValueError):
+            solve_left(not_hermite, [4, 9])
 
 
 def test_left_kernel():

@@ -17,7 +17,7 @@ from mwl.meanlen import (
 from mwl.registry import example_names, run_example
 from mwl.subsets import FiniteSubset
 from mwl.values import MeanRatio, ratio_eq, ratio_le
-from mwl.weaklength import LOG_CARD, RANK, tors_log
+from mwl.weaklength import LOG_CARD, NU, RANK, tors_log
 
 Z = FinAbGroup.free(1)
 
@@ -81,6 +81,12 @@ def test_constant_prefix_is_not_claimed_exact():
     # but the certificate is the finite-module one with limit zero
     assert est.limit.kind == "finite-module"
     assert est.limit.ratio.is_zero()
+    # nu of {d} over Z is +inf on every row, and no rule certifies it
+    m = ShiftModule(Z, FinAbGroup.free(1))
+    report = ratio_sequence(m, FiniteSubset.of(m, [m.delta([1])]), NU,
+                            FolnerBoxes(Z, 4)).to_json()
+    assert report["flags"]["constant_exact"]
+    assert report["limit"] == {"certificate": None, "ratio": None, "exact": False}
 
 
 def test_torsion_ratio_table():
@@ -111,7 +117,7 @@ def test_truncation_marker():
     est = ratio_sequence(m, witness, LOG_CARD, FolnerBoxes(Z, 6))
     assert est.truncated_at is not None
     assert [r.n for r in est.rows] == list(range(1, est.truncated_at))
-    assert est.limit.kind in (None, "constant") and not est.limit.exact
+    assert est.limit.kind is None and not est.limit.exact
 
 
 def test_certified_counter_extends_table():
