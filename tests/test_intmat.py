@@ -149,6 +149,7 @@ def test_solve_left():
     basis = [[2, 0], [0, 3]]
     assert solve_left(basis, [4, 9]) == [2, 3]
     assert solve_left(basis, [1, 0]) is None
+    assert solve_left([[2, 1], [0, 3]], [2, 7]) == [1, 2]
     assert solve_left([], [0, 0]) == []
     assert solve_left([], [1, 0]) is None
     for not_hermite in ([[0, 3], [2, 0]], [[-2, 0], [0, 3]], [[2, 5], [0, 3]],
