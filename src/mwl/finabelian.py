@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import add, mod, neg
 
 from .errors import DomainError
 from .intmat import (
@@ -89,8 +90,11 @@ class FinAbGroup:
         return AbElement(self, self.reduce(coords))
 
     def reduce(self, coords) -> tuple[int, ...]:
-        k = len(self.torsion)
-        return tuple(c % t for c, t in zip(coords, self.torsion)) + tuple(coords[k:])
+        """Canonical tuple of any iterable of coordinates."""
+        if self.free_rank:
+            coords = tuple(coords)
+            return tuple(map(mod, coords, self.torsion)) + coords[len(self.torsion):]
+        return tuple(map(mod, coords, self.torsion))
 
     def zero(self) -> "AbElement":
         return AbElement(self, (0,) * self.ambient_dim)
@@ -117,10 +121,12 @@ class FinAbGroup:
         return (0,) * self.ambient_dim
 
     def _add_items(self, a, b):
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
+        if self.free_rank:
+            return self.reduce(map(add, a, b))
+        return tuple(map(mod, map(add, a, b), self.torsion))
 
     def _neg_item(self, a):
-        return self.reduce(tuple(-x for x in a))
+        return self.reduce(map(neg, a))
 
     def _element_of_item(self, item) -> "AbElement":
         return AbElement(self, item)
@@ -154,7 +160,7 @@ class AbElement:
         return self + (-other)
 
     def __rmul__(self, k: int) -> "AbElement":
-        return AbElement(self.group, self.group.reduce(tuple(k * c for c in self.coords)))
+        return AbElement(self.group, self.group.reduce(map(k.__mul__, self.coords)))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -181,7 +187,7 @@ class AbHom:
             if len(row) != self.target.ambient_dim:
                 raise DomainError("hom matrix row length does not match target")
         for i, t in enumerate(self.source.torsion):
-            if any(self.target.reduce(tuple(t * x for x in self.matrix[i]))):
+            if any(self.target.reduce(map(t.__mul__, self.matrix[i]))):
                 raise DomainError("matrix does not define a homomorphism")
 
     @staticmethod
@@ -201,9 +207,15 @@ class AbHom:
     def __call__(self, elt: AbElement) -> AbElement:
         if elt.group != self.source:
             raise DomainError("element not in the source group")
-        vec = [sum(elt.coords[i] * self.matrix[i][j] for i in range(len(self.matrix)))
-               for j in range(self.target.ambient_dim)]
-        return AbElement(self.target, self.target.reduce(vec))
+        return AbElement(self.target, self._apply_item(elt.coords))
+
+    def _apply_item(self, item) -> tuple[int, ...]:
+        """Image of a canonical source tuple: the sum of c * row over nonzero c."""
+        vec = (0,) * self.target.ambient_dim
+        for c, row in zip(item, self.matrix):
+            if c:
+                vec = map(add, vec, map(c.__mul__, row))
+        return self.target.reduce(vec)
 
 
 def presentation_from_relations(ambient_dim, relation_rows):

@@ -19,6 +19,7 @@ elements so that every checked inequality can be evaluated exactly.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import product
 
 from .errors import DomainError
@@ -66,8 +67,13 @@ class XorShift64Star:
 
 
 def random_finite_group(rng: XorShift64Star, max_order: int = MAX_GROUP_ORDER) -> FinAbGroup:
-    shapes = [s for s in _GROUP_SHAPES if math.prod(s) <= max_order]
-    return FinAbGroup(rng.choice(shapes))
+    return rng.choice(_groups_up_to(max_order))
+
+
+@cache
+def _groups_up_to(max_order: int) -> tuple[FinAbGroup, ...]:
+    """The groups of _GROUP_SHAPES with at most max_order elements, in table order."""
+    return tuple(FinAbGroup(s) for s in _GROUP_SHAPES if math.prod(s) <= max_order)
 
 
 def random_element(rng, group: FinAbGroup):

@@ -8,6 +8,8 @@ _zero_item/_add_items/_neg_item/_element_of_item, and the coordinate
 view that weak lengths read, _moduli (the torsion order of each
 coefficient coordinate, 0 when free) and _terms (an item as (point,
 coefficient coordinates) pairs; a group item is one pair at point ()).
+A group item is the tuple of canonical coordinates, and AbHom._apply_item
+maps items, so sums, images and product sets never build an element.
 
 Minkowski sums grow multiplicatively, so every constructor enforces a
 hard cap and fails loudly instead of thrashing.
@@ -100,15 +102,11 @@ def union(a: FiniteSubset, b: FiniteSubset) -> FiniteSubset:
 
 def product_subset(a: FiniteSubset, emb_a, b: FiniteSubset, emb_b) -> FiniteSubset:
     """Image of a x b inside a direct sum, given the two embeddings."""
-    total = emb_a.target
-    elems = []
-    for x in a:
-        ex = emb_a(x)
-        for y in b:
-            elems.append(ex + emb_b(y))
-    return FiniteSubset.of(total, elems)
+    return minkowski_sum(map_subset(emb_a, a), map_subset(emb_b, b))
 
 
 def map_subset(phi, a: FiniteSubset) -> FiniteSubset:
     """Image of a subset under a homomorphism (deduplicated)."""
-    return FiniteSubset.of(phi.target, [phi(x) for x in a])
+    if a.ambient != phi.source:
+        raise DomainError("element not in the source group")
+    return FiniteSubset(phi.target, frozenset(map(phi._apply_item, a.items)))

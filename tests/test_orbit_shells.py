@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwl import groupring, subsets
+from mwl import groupring, meanlen, subsets
 from mwl.errors import SetSizeLimitError
 from mwl.finabelian import FinAbGroup, subgroup_generated
 from mwl.groupring import (
@@ -364,3 +364,30 @@ def test_no_enumeration_after_certified_count_passes_cap(low_cap, monkeypatch):
     assert [r.method for r in est.rows] == ["sofic"] * 10
     assert [r.value.count for r in est.rows] == [2 ** (n + 1) - 1 for n in range(1, 11)]
     assert est.truncated_at is None
+
+
+def test_no_orbit_sum_for_a_row_the_rule_counts_past_cap(monkeypatch):
+    # under product structure |A^[F_n]| is the rule's count, so the first
+    # row whose count passes the cap is certified without an orbit sum
+    def table(m, a, n_max):
+        with monkeypatch.context() as mp:
+            calls = _spy_on_minkowski(mp)
+            return ratio_sequence(m, a, LOG_CARD, FolnerBoxes(m.group, n_max)), calls
+
+    z = ShiftModule(Z, FinAbGroup.free(1))
+    z2 = ShiftModule(FinAbGroup.free(2), FinAbGroup.of(2))
+    cases = [  # (module, witness, n_max, enumerated rows): 2^8 <= CAP < 2^9, 2^4 <= CAP < 2^9
+        (z, FiniteSubset.of(z, [z.zero(), z.delta([1])]), 16, 8),
+        (z2, FiniteSubset.of(z2, [z2.zero(), z2.delta([1])]), 6, 2),
+    ]
+    monkeypatch.setattr(subsets, "SET_CAP", CAP)
+    for m, a, n_max, enumerated in cases:
+        est_old, calls_old = table(m, a, n_max)  # meanlen's cap unpatched: the orbit sum overflows
+        assert calls_old[-1] == "cap"
+        with monkeypatch.context() as mp:
+            mp.setattr(meanlen, "SET_CAP", CAP)
+            est, calls = table(m, a, n_max)
+        assert "cap" not in calls and max(calls) <= CAP
+        assert [r.method for r in est.rows] == (
+            ["enumerated"] * enumerated + ["certified"] * (n_max - enumerated))
+        assert est.to_json() == est_old.to_json()
