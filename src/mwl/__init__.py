@@ -17,7 +17,6 @@ from .bivariant import (
 )
 from .errors import ConfigurationError, DomainError, SetSizeLimitError
 from .finabelian import (
-    AbElement,
     AbHom,
     FinAbGroup,
     direct_sum,
@@ -28,7 +27,6 @@ from .finabelian import (
     torsion_k,
 )
 from .groupring import (
-    GRElement,
     ShiftModule,
     coeff_quotient,
     embed_subset,
@@ -47,7 +45,7 @@ from .meanlen import (
     ratio_sequence,
 )
 from .registry import example_names, run_example
-from .subsets import FiniteSubset, difference_set, minkowski_sum, union
+from .subsets import Element, FiniteSubset, difference_set, minkowski_sum, union
 from .values import LengthValue, MeanRatio, value_add, value_cmp
 from .weaklength import (
     GEN,

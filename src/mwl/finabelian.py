@@ -26,10 +26,10 @@ from .intmat import (
     smith_normal_form,
     solve_left,
 )
+from .subsets import Element
 
 __all__ = [
     "FinAbGroup",
-    "AbElement",
     "AbHom",
     "subgroup_generated",
     "quotient_group",
@@ -78,7 +78,7 @@ class FinAbGroup:
         group, _, _ = presentation_from_relations(len(factors), rels)
         return group
 
-    def element(self, coords) -> "AbElement":
+    def element(self, coords) -> Element:
         try:
             coords = tuple(coords)
         except TypeError:
@@ -87,7 +87,7 @@ class FinAbGroup:
             raise DomainError(f"coordinates must be integers, got {list(coords)!r}")
         if len(coords) != self.ambient_dim:
             raise DomainError("coordinate length does not match ambient dimension")
-        return AbElement(self, self.reduce(coords))
+        return Element(self, self.reduce(coords))
 
     def reduce(self, coords) -> tuple[int, ...]:
         """Canonical tuple of any iterable of coordinates."""
@@ -96,8 +96,8 @@ class FinAbGroup:
             return tuple(map(mod, coords, self.torsion)) + coords[len(self.torsion):]
         return tuple(map(mod, coords, self.torsion))
 
-    def zero(self) -> "AbElement":
-        return AbElement(self, (0,) * self.ambient_dim)
+    def zero(self) -> Element:
+        return Element(self, (0,) * self.ambient_dim)
 
     def relation_rows(self) -> list[list[int]]:
         n = self.ambient_dim
@@ -114,9 +114,9 @@ class FinAbGroup:
         if self.free_rank:
             raise DomainError("cannot enumerate an infinite group")
         for coords in product(*(range(t) for t in self.torsion)):
-            yield AbElement(self, coords)
+            yield Element(self, coords)
 
-    # item protocol used by FiniteSubset: items are canonical coord tuples
+    # item protocol used by Element and FiniteSubset: items are canonical coord tuples
     def _zero_item(self):
         return (0,) * self.ambient_dim
 
@@ -128,8 +128,8 @@ class FinAbGroup:
     def _neg_item(self, a):
         return self.reduce(map(neg, a))
 
-    def _element_of_item(self, item) -> "AbElement":
-        return AbElement(self, item)
+    def _scale_item(self, k, a):
+        return self.reduce(map(k.__mul__, a))
 
     @property
     def _moduli(self) -> tuple[int, ...]:
@@ -141,29 +141,6 @@ class FinAbGroup:
     def __str__(self):
         parts = [f"C{t}" for t in self.torsion] + ["Z"] * self.free_rank
         return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class AbElement:
-    group: FinAbGroup
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "AbElement") -> "AbElement":
-        if self.group != other.group:
-            raise DomainError("elements of different groups")
-        return AbElement(self.group, self.group._add_items(self.coords, other.coords))
-
-    def __neg__(self) -> "AbElement":
-        return AbElement(self.group, self.group._neg_item(self.coords))
-
-    def __sub__(self, other: "AbElement") -> "AbElement":
-        return self + (-other)
-
-    def __rmul__(self, k: int) -> "AbElement":
-        return AbElement(self.group, self.group.reduce(map(k.__mul__, self.coords)))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
 
 @dataclass(frozen=True)
@@ -204,10 +181,10 @@ class AbHom:
         return AbHom.from_rows(group, group,
                                [[k if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __call__(self, elt: AbElement) -> AbElement:
-        if elt.group != self.source:
+    def __call__(self, elt: Element) -> Element:
+        if elt.ambient != self.source:
             raise DomainError("element not in the source group")
-        return AbElement(self.target, self._apply_item(elt.coords))
+        return Element(self.target, self._apply_item(elt.coords))
 
     def _apply_item(self, item) -> tuple[int, ...]:
         """Image of a canonical source tuple: the sum of c * row over nonzero c."""
@@ -263,7 +240,7 @@ def subgroup_generated(g: FinAbGroup, elements) -> tuple[FinAbGroup, AbHom]:
     if not elements:
         raise DomainError("generating set must be nonempty")
     for e in elements:
-        if e.group != g:
+        if e.ambient != g:
             raise DomainError("generator outside the group")
     return _subgroup_from_rows(g, [list(e.coords) for e in elements])
 
@@ -272,7 +249,7 @@ def quotient_group(g: FinAbGroup, generators) -> tuple[FinAbGroup, AbHom]:
     """Quotient of g by the subgroup the generators span, with projection."""
     rows = []
     for e in generators:
-        if e.group != g:
+        if e.ambient != g:
             raise DomainError("generator outside the group")
         rows.append(list(e.coords))
     quot, proj, _ = presentation_from_relations(
@@ -325,7 +302,7 @@ def direct_sum_many(groups) -> tuple[FinAbGroup, list[AbHom]]:
     return total, embeddings
 
 
-def intersect_subgroups(g: FinAbGroup, gens_a, gens_b) -> list[AbElement]:
+def intersect_subgroups(g: FinAbGroup, gens_a, gens_b) -> list[Element]:
     """Generators of the intersection of two finitely generated subgroups."""
     n = g.ambient_dim
     rows_a = [list(e.coords) for e in gens_a] + g.relation_rows()

@@ -10,9 +10,9 @@ finitely generated abelian group, acted on by an abelian acting group:
     cyclic support turns element normalization into one-variable
     staircase reduction, realizing quotient modules exactly.
 
-Elements are stored as sorted tuples of (support coords, coefficient
-coords) with no zero coefficients, so equality, hashing and set
-deduplication are tuple operations.
+Elements are stored as Element.coords: sorted tuples of (support coords,
+coefficient coords) with no zero coefficients, so equality, hashing and
+set deduplication are tuple operations.
 """
 
 from __future__ import annotations
@@ -24,17 +24,15 @@ from itertools import product as iproduct
 from .errors import ConfigurationError, DomainError
 from .finabelian import (
     INFINITE,
-    AbElement,
     AbHom,
     FinAbGroup,
     direct_sum_many,
     quotient_group,
 )
 from .laurent import StaircaseBasis, laurent_normal_form, pnorm
-from .subsets import FiniteSubset, minkowski_sum
+from .subsets import Element, FiniteSubset, minkowski_sum
 
 __all__ = [
-    "GRElement",
     "ShiftModule",
     "FiniteSubset",
     "gr_translate",
@@ -114,7 +112,7 @@ class ShiftModule:
 
     # -- elements -------------------------------------------------------
 
-    def element(self, pairs) -> "GRElement":
+    def element(self, pairs) -> Element:
         try:
             pairs = [(gcoords, ccoords) for gcoords, ccoords in pairs]
         except (TypeError, ValueError):
@@ -127,12 +125,12 @@ class ShiftModule:
             c = coeff.element(ccoords).coords
             support[g] = coeff._add_items(support[g], c) if g in support else c
         items = tuple(sorted((g, c) for g, c in support.items() if any(c)))
-        return GRElement(self, self._canonical(items))
+        return Element(self, self._canonical(items))
 
-    def zero(self) -> "GRElement":
-        return GRElement(self, ())
+    def zero(self) -> Element:
+        return Element(self, ())
 
-    def delta(self, ccoords, at=None) -> "GRElement":
+    def delta(self, ccoords, at=None) -> Element:
         """The function with one coefficient at one point (default identity)."""
         if at is None:
             at = self.support_group.zero().coords
@@ -148,7 +146,7 @@ class ShiftModule:
             return items
         return self._items(laurent_normal_form(self._staircase, *self._vector(items)))
 
-    # -- item protocol for FiniteSubset ----------------------------------
+    # -- item protocol for Element and FiniteSubset ----------------------
 
     def _zero_item(self):
         return ()
@@ -198,9 +196,6 @@ class ShiftModule:
         return self._canonical(
             tuple(sorted((add(g, shift_coords), c) for g, c in x)))
 
-    def _element_of_item(self, item) -> "GRElement":
-        return GRElement(self, item)
-
     @property
     def _moduli(self) -> tuple[int, ...]:
         return self.coeff._moduli
@@ -208,9 +203,9 @@ class ShiftModule:
     def _terms(self, item):
         return item
 
-    def action_shift(self, s: AbElement) -> tuple[int, ...]:
+    def action_shift(self, s: Element) -> tuple[int, ...]:
         """Support translation realized by an acting group element."""
-        if s.group != self.group:
+        if s.ambient != self.group:
             raise DomainError("element not in the acting group")
         return s.coords if self.action is None else self.action(s).coords
 
@@ -233,7 +228,7 @@ class ShiftModule:
             raise DomainError("cannot enumerate an infinite module")
         if self.quotient is not None:
             for residue in self._staircase.enumerate_residues():
-                yield GRElement(self, self._items(residue))
+                yield Element(self, self._items(residue))
             return
         if self.coeff.cardinality() == 1:
             yield self.zero()
@@ -243,40 +238,10 @@ class ShiftModule:
         for assignment in iproduct(coeffs, repeat=len(points)):
             items = tuple(sorted(
                 (pt, c) for pt, c in zip(points, assignment) if any(c)))
-            yield GRElement(self, items)
+            yield Element(self, items)
 
 
-@dataclass(frozen=True)
-class GRElement:
-    module: ShiftModule
-    items: tuple
-
-    def __add__(self, other):
-        if self.module != other.module:
-            raise DomainError("elements of different modules")
-        return GRElement(self.module, self.module._add_items(self.items, other.items))
-
-    def __neg__(self):
-        return GRElement(self.module, self.module._neg_item(self.items))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, k: int):
-        return GRElement(self.module, self.module._scale_item(k, self.items))
-
-    def is_zero(self):
-        return not self.items
-
-    def translate(self, s: AbElement) -> "GRElement":
-        shift = self.module.action_shift(s)
-        return GRElement(self.module, self.module._translate_item(shift, self.items))
-
-    def support(self):
-        return tuple(g for g, _ in self.items)
-
-
-def gr_translate(s: AbElement, a: FiniteSubset) -> FiniteSubset:
+def gr_translate(s: Element, a: FiniteSubset) -> FiniteSubset:
     """The translated set {s.x : x in a}; same size as a."""
     module = a.ambient
     shift = module.action_shift(s)
@@ -313,11 +278,10 @@ def coeff_quotient(m: ShiftModule, d_generators):
     quot, proj = quotient_group(m.coeff, gens)
     target = ShiftModule(m.group, quot, m.action)
 
-    def project(x: GRElement) -> GRElement:
-        if x.module != m:
+    def project(x: Element) -> Element:
+        if x.ambient != m:
             raise DomainError("element not in the source module")
-        return target.element(
-            [(g, proj(m.coeff._element_of_item(c)).coords) for g, c in x.items])
+        return target.element([(g, proj._apply_item(c)) for g, c in x.coords])
 
     return target, project
 
@@ -329,14 +293,14 @@ def principal_quotient(m: ShiftModule, generators):
     if m.quotient is not None:
         raise ConfigurationError("module already carries a quotient structure")
     generators = list(generators)
-    if any(f.module != m for f in generators):
+    if any(f.ambient != m for f in generators):
         raise DomainError("generator not in the module")
-    target = ShiftModule(m.group, m.coeff, m.action, tuple(f.items for f in generators))
+    target = ShiftModule(m.group, m.coeff, m.action, tuple(f.coords for f in generators))
 
-    def project(x: GRElement) -> GRElement:
-        if x.module != m:
+    def project(x: Element) -> Element:
+        if x.ambient != m:
             raise DomainError("element not in the source module")
-        return GRElement(target, target._canonical(x.items))
+        return Element(target, target._canonical(x.coords))
 
     return target, project
 
@@ -351,15 +315,15 @@ def embed_subset(a: FiniteSubset):
     normal forms add coefficient-wise.
     """
     module = a.ambient
-    points = sorted({g for x in a for g, _ in x.items})
+    points = sorted({g for x in a.items for g, _ in x})
     if not points:
         points = [module.support_group.zero().coords]
     ambient, embeddings = direct_sum_many([module.coeff] * len(points))
     index = {pt: i for i, pt in enumerate(points)}
-    elems = []
-    for x in a:
-        total = ambient.zero()
-        for g, c in x.items:
-            total = total + embeddings[index[g]](module.coeff._element_of_item(c))
-        elems.append(total)
-    return ambient, FiniteSubset.of(ambient, elems)
+    items = []
+    for x in a.items:
+        total = ambient._zero_item()
+        for g, c in x:
+            total = ambient._add_items(total, embeddings[index[g]]._apply_item(c))
+        items.append(total)
+    return ambient, FiniteSubset.from_items(ambient, items)

@@ -40,10 +40,10 @@ from itertools import product as iproduct
 
 from . import sofic
 from .errors import ConfigurationError, DomainError, SetSizeLimitError
-from .finabelian import INFINITE, AbElement, FinAbGroup
+from .finabelian import INFINITE, FinAbGroup
 from .groupring import ShiftModule, gr_translate, orbit_sum
 from .intmat import EchelonLattice, exponent_sum
-from .subsets import SET_CAP, FiniteSubset, minkowski_sum
+from .subsets import SET_CAP, Element, FiniteSubset, minkowski_sum
 from .values import (
     LOG,
     LengthValue,
@@ -76,7 +76,7 @@ N_MAX_LIMIT = 1000
 
 @dataclass(frozen=True)
 class InvarianceParams:
-    k_set: tuple[AbElement, ...]
+    k_set: tuple[Element, ...]
     delta: Fraction
 
     def __post_init__(self):
@@ -115,21 +115,21 @@ class FolnerBoxes:
         if not 1 <= self.n_max <= N_MAX_LIMIT:
             raise DomainError(f"n_max must lie in 1..{N_MAX_LIMIT}, got {self.n_max}")
 
-    def box(self, n: int) -> list[AbElement]:
+    def box(self, n: int) -> list[Element]:
         return self._points(iproduct(range(n), repeat=self.group.free_rank))
 
-    def shell(self, n: int) -> list[AbElement]:
+    def shell(self, n: int) -> list[Element]:
         """F_n minus F_(n-1), with F_0 empty, in box order: the points whose
         largest free coordinate is n - 1 (none for n >= 2 without free part)."""
         if n == 1:
             return self.box(1)
         return self._points(_top_layer(n, self.group.free_rank))
 
-    def _points(self, free_parts) -> list[AbElement]:
+    def _points(self, free_parts) -> list[Element]:
         # coordinates come out reduced, so no FinAbGroup.element check
         g = self.group
         torsion_part = list(iproduct(*(range(t) for t in g.torsion)))
-        return [AbElement(g, tail + free) for free in free_parts for tail in torsion_part]
+        return [Element(g, tail + free) for free in free_parts for tail in torsion_part]
 
     def size(self, n: int) -> int:
         return n ** self.group.free_rank * math.prod(self.group.torsion)

@@ -154,9 +154,9 @@ def _example_scalar_range_bound(n_max: int, scalar_count: int = 16) -> ExampleRe
     module = ShiftModule(Z, FinAbGroup.free(1))
     seq = FolnerBoxes(Z, n_max)
     f = module.element([((0,), (1,)), ((1,), (1,))])  # support K = {0, 1}
-    support_size = len(f.items)
+    support_size = len(f.coords)
     witness = FiniteSubset.of(
-        module, [module.element([(g, (j * c[0],)) for g, c in f.items])
+        module, [module.element([(g, (j * c[0],)) for g, c in f.coords])
                  for j in range(scalar_count)])
     est = ratio_sequence(module, witness, LOG_CARD, seq)
     bound = MeanRatio.log_ratio(scalar_count, support_size ** 2)

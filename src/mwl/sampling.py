@@ -23,9 +23,9 @@ from functools import cache
 from itertools import product
 
 from .errors import DomainError
-from .finabelian import AbElement, AbHom, FinAbGroup, hom_kernel
+from .finabelian import AbHom, FinAbGroup, hom_kernel
 from .intmat import identity, row_basis
-from .subsets import FiniteSubset
+from .subsets import Element, FiniteSubset
 
 MASK64 = (1 << 64) - 1
 DEFAULT_SEED = 0x9E3779B97F4A7C15
@@ -79,7 +79,7 @@ def _groups_up_to(max_order: int) -> tuple[FinAbGroup, ...]:
 def random_element(rng, group: FinAbGroup):
     if group.free_rank:
         raise DomainError("random elements need a finite group")
-    return AbElement(group, tuple(rng.below(t) for t in group.torsion))
+    return Element(group, tuple(rng.below(t) for t in group.torsion))
 
 
 def random_subset(rng, group: FinAbGroup, max_size: int = MAX_SET_SIZE,
@@ -147,4 +147,4 @@ def torsion_elements(group: FinAbGroup, k: int):
         raise DomainError("torsion order must be a positive integer")
     steps = [range(0, t, t // math.gcd(k, t)) for t in group.torsion]
     free = (0,) * group.free_rank
-    return [AbElement(group, coords + free) for coords in product(*steps)]
+    return [Element(group, coords + free) for coords in product(*steps)]

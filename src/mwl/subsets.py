@@ -1,18 +1,20 @@
-"""Deduplicated finite subsets of a group or shift module.
+"""Elements and deduplicated finite subsets of a group or shift module.
 
-A subset stores canonical item representations (plain nested tuples), so
-set arithmetic runs on hashable data at native speed; rich elements are
+An Element pairs its ambient object with one canonical item (a plain
+nested tuple, its `coords`); a subset stores the items alone, so set
+arithmetic runs on hashable data at native speed and elements are
 materialized only on iteration.  The ambient object supplies the item
 protocol, which both FinAbGroup and ShiftModule implement: the algebra
-_zero_item/_add_items/_neg_item/_element_of_item, and the coordinate
-view that weak lengths read, _moduli (the torsion order of each
-coefficient coordinate, 0 when free) and _terms (an item as (point,
-coefficient coordinates) pairs; a group item is one pair at point ()).
-A group item is the tuple of canonical coordinates, and AbHom._apply_item
-maps items, so sums, images and product sets never build an element.
+_zero_item/_add_items/_neg_item/_scale_item, and the coordinate view
+that weak lengths read, _moduli (the torsion order of each coefficient
+coordinate, 0 when free) and _terms (an item as (point, coefficient
+coordinates) pairs; a group item is one pair at point ()).  A group item
+is the tuple of canonical coordinates, and AbHom._apply_item maps items,
+so sums, images and product sets never build an element.
 
-Minkowski sums grow multiplicatively, so every constructor enforces a
-hard cap and fails loudly instead of thrashing.
+Minkowski sums grow multiplicatively, so every constructor that can make
+a set larger than its inputs enforces a hard cap and fails loudly instead
+of thrashing.
 """
 
 from __future__ import annotations
@@ -25,23 +27,48 @@ SET_CAP = 10**6
 
 
 @dataclass(frozen=True)
+class Element:
+    """An element of a group or shift module, kept as its canonical item."""
+
+    ambient: object
+    coords: tuple
+
+    def __add__(self, other: "Element") -> "Element":
+        if self.ambient != other.ambient:
+            raise DomainError("elements of different ambients")
+        return Element(self.ambient, self.ambient._add_items(self.coords, other.coords))
+
+    def __neg__(self) -> "Element":
+        return Element(self.ambient, self.ambient._neg_item(self.coords))
+
+    def __sub__(self, other: "Element") -> "Element":
+        return self + (-other)
+
+    def __rmul__(self, k: int) -> "Element":
+        return Element(self.ambient, self.ambient._scale_item(k, self.coords))
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    def translate(self, s: "Element") -> "Element":
+        """The shift s.x of a module element by an acting group element."""
+        shift = self.ambient.action_shift(s)
+        return Element(self.ambient, self.ambient._translate_item(shift, self.coords))
+
+
+@dataclass(frozen=True)
 class FiniteSubset:
     ambient: object
     items: frozenset
 
     @staticmethod
     def of(ambient, elements) -> "FiniteSubset":
-        items = set()
+        items = []
         for e in elements:
-            if getattr(e, "group", None) == ambient:
-                items.add(e.coords)
-            elif getattr(e, "module", None) == ambient:
-                items.add(e.items)
-            else:
+            if not isinstance(e, Element) or e.ambient != ambient:
                 raise DomainError("element does not belong to the ambient object")
-        if not items:
-            raise DomainError("finite subsets must be nonempty")
-        return FiniteSubset(ambient, frozenset(items))
+            items.append(e.coords)
+        return FiniteSubset.from_items(ambient, items)
 
     @staticmethod
     def from_items(ambient, items) -> "FiniteSubset":
@@ -57,10 +84,10 @@ class FiniteSubset:
 
     def __iter__(self):
         for item in self.items:
-            yield self.ambient._element_of_item(item)
+            yield Element(self.ambient, item)
 
     def sorted_elements(self):
-        return [self.ambient._element_of_item(i) for i in sorted(self.items)]
+        return [Element(self.ambient, i) for i in sorted(self.items)]
 
     def contains_zero(self) -> bool:
         return self.ambient._zero_item() in self.items
@@ -97,7 +124,7 @@ def difference_set(a: FiniteSubset, b: FiniteSubset) -> FiniteSubset:
 def union(a: FiniteSubset, b: FiniteSubset) -> FiniteSubset:
     if a.ambient != b.ambient:
         raise DomainError("union of subsets of different ambients")
-    return FiniteSubset(a.ambient, a.items | b.items)
+    return FiniteSubset.from_items(a.ambient, a.items | b.items)
 
 
 def product_subset(a: FiniteSubset, emb_a, b: FiniteSubset, emb_b) -> FiniteSubset:

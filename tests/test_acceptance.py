@@ -197,7 +197,7 @@ def test_criterion_10_scalar_range_necessary_condition():
         seq = FolnerBoxes(Z, 10)
         f = module.element([((0,), (1,)), ((1,), (1,))])
         witness = FiniteSubset.of(
-            module, [module.element([(g, (j * c[0],)) for g, c in f.items])
+            module, [module.element([(g, (j * c[0],)) for g, c in f.coords])
                      for j in range(16)])
         est = ratio_sequence(module, witness, LOG_CARD, seq)
         assert len(est.rows) == 10 and est.truncated_at is None

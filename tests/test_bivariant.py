@@ -15,7 +15,6 @@ from mwl.bivariant import (
 )
 from mwl.errors import ConfigurationError, DomainError
 from mwl.finabelian import (
-    AbElement,
     AbHom,
     FinAbGroup,
     direct_sum,
@@ -26,7 +25,7 @@ from mwl.finabelian import (
 )
 from mwl.sampling import XorShift64Star, random_finite_group, random_hom, random_subset
 from mwl.scenario import read_bivariant
-from mwl.subsets import FiniteSubset, map_subset, minkowski_sum, product_subset, union
+from mwl.subsets import Element, FiniteSubset, map_subset, minkowski_sum, product_subset, union
 from mwl.values import LengthValue, value_add, value_cmp
 from mwl.weaklength import LOG_CARD, NU, RANK, eval_weak_length
 
@@ -208,7 +207,7 @@ def _reference_quotient_witness(phi, a):
     <A> by intersect_subgroups."""
     g = phi.source
     _, incl = hom_kernel(phi)
-    ker_gens = [AbElement(g, row) for row in incl.matrix]
+    ker_gens = [Element(g, row) for row in incl.matrix]
     gens = intersect_subgroups(g, list(a), ker_gens) if ker_gens else []
     return FiniteSubset.of(g, gens + [g.zero()])
 

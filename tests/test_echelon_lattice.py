@@ -102,7 +102,7 @@ def test_principal_quotient_span_rows_match_snf_of_rebuilt_orbit_sums():
     # F2[t, 1/t] / (1 + t + t^3): the span rows stop growing at 3 = |slots|
     m2 = ShiftModule(Z, FinAbGroup.of(2))
     f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    quot = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))
+    quot = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.coords,))
     seq = FolnerBoxes(Z, 6)
     for elements in ([quot.zero(), quot.delta([1])],
                      [quot.zero(), quot.delta([1]) + quot.delta([1], at=(2,))]):

@@ -49,7 +49,7 @@ def test_mixed_acting_group_coordinates_are_torsion_first():
     gamma = FinAbGroup((2,), 1)  # C2 x Z
     m = ShiftModule(gamma, FinAbGroup.of(2))
     x = m.delta([1], at=(3, 7))
-    assert x.support() == ((1, 7),)
+    assert tuple(g for g, _ in x.coords) == ((1, 7),)
     assert x.translate(gamma.element([1, -7])) == m.delta([1])
 
 
@@ -159,7 +159,7 @@ def test_submodule_normal_form_principal():
     plain = shift_module(2)
     n = plain.element([((0,), (1,)), ((1,), (1,))])
     m, project = principal_quotient(plain, [n])
-    assert m == ShiftModule(Z, FinAbGroup.of(2), quotient=(n.items,))
+    assert m == ShiftModule(Z, FinAbGroup.of(2), quotient=(n.coords,))
     x = plain.element([((0,), (1,)), ((2,), (1,))])
     assert project(x).is_zero()
     assert project(plain.zero()).is_zero()
@@ -170,9 +170,9 @@ def test_principal_quotient_residues():
     # N = <1 + t + t^3> over Z/2: exactly 8 normal forms, degree < 3
     plain = shift_module(2)
     f = plain.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    m = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))
+    m = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.coords,))
     assert m.cardinality() == 8
-    residues = {x.items for x in m.elements()}
+    residues = {x.coords for x in m.elements()}
     assert len(residues) == 8
     for items in residues:
         assert all(0 <= g[0] < 3 for g, _ in items)
@@ -196,7 +196,7 @@ def test_infinite_principal_quotient_refuses_enumeration():
 def test_normal_form_soundness_random():
     plain = shift_module(2)
     f = plain.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    m = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))
+    m = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.coords,))
     rng = XorShift64Star(2718)
 
     def random_elem():
@@ -231,7 +231,7 @@ def normal_form_pairs(draw):
     # an infinite quotient has canonical forms only on nonnegative support
     low = 0 if quot.cardinality() == INFINITE else -3
     x, y = (project(_laurent_element(draw, plain, low)) for _ in range(2))
-    return quot, x.items, y.items, draw(st.integers(-6, 6))
+    return quot, x.coords, y.coords, draw(st.integers(-6, 6))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -272,7 +272,7 @@ def test_coeff_quotient():
 
     same, ident = coeff_quotient(m, [[0]])
     assert same.coeff.torsion == (4,)
-    assert ident(m.delta([3])).items == m.delta([3]).items
+    assert ident(m.delta([3])).coords == m.delta([3]).coords
 
     mz = ShiftModule(Z, FinAbGroup.free(1))
     half, projz = coeff_quotient(mz, [[2]])
@@ -310,7 +310,7 @@ def test_module_json_round_trip():
         ({"group": z, "coeff": {"torsion": [2]},
           "quotient": {"closure": "principal_z", "p": 2,
                        "generators": [[[[0], [1]], [[1], [1]], [[3], [1]]]]}},
-         ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))),
+         ShiftModule(Z, FinAbGroup.of(2), quotient=(f.coords,))),
         # a coefficient-subgroup quotient gives the module over C/D
         ({"group": z, "coeff": {"torsion": [4]},
           "quotient": {"closure": "coeff_subgroup", "generators": [[2]]}},

@@ -106,7 +106,7 @@ def test_homomorphism_images_match_reference(case):
     phi, xs = case
     for x in xs:
         image = phi(phi.source.element(x))
-        assert image.group == phi.target
+        assert image.ambient == phi.target
         assert image.coords == phi._apply_item(x) == ref_apply(phi, x)
     mapped = map_subset(phi, FiniteSubset.from_items(phi.source, xs))
     assert mapped.ambient == phi.target

@@ -84,7 +84,7 @@ def test_vector_module_normal_forms():
     gen1 = plain.element([((0,), (1, 0)), ((1,), (1, 0))])   # (1+t, 0)
     gen2 = plain.element([((0,), (0, 1)), ((1,), (0, 1))])   # (0, 1+t)
     m = ShiftModule(Z, coeff,
-                    quotient=(gen1.items, gen2.items))
+                    quotient=(gen1.coords, gen2.coords))
     assert m.cardinality() == 4
     # 1 + t^2 in each coordinate reduces to zero
     x = m.element([((0,), (1, 1)), ((2,), (1, 1))])
@@ -123,7 +123,7 @@ def test_infinite_vector_quotient_rejects_negative_support():
     coeff = FinAbGroup.of(2, 2)
     plain = ShiftModule(Z, coeff)
     gen = plain.element([((0,), (1, 1)), ((1,), (1, 0))])
-    m = ShiftModule(Z, coeff, quotient=(gen.items,))
+    m = ShiftModule(Z, coeff, quotient=(gen.coords,))
     with pytest.raises(ConfigurationError):
         m.element([((-1,), (1, 0))])
 

@@ -74,7 +74,7 @@ def test_constant_prefix_is_not_claimed_exact():
     # n <= 3; the limit must not be certified from that prefix
     m2 = ShiftModule(Z, FinAbGroup.of(2))
     f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    quot = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))
+    quot = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.coords,))
     witness = FiniteSubset.of(quot, [quot.zero(), quot.delta([1])])
     est = ratio_sequence(quot, witness, LOG_CARD, FolnerBoxes(Z, 3))
     assert est.constant_exact  # the prefix does look constant
@@ -125,7 +125,7 @@ def test_certified_counter_extends_table():
     seq = FolnerBoxes(Z, 10)
     f = m.element([((0,), (1,)), ((1,), (1,))])
     witness = FiniteSubset.of(
-        m, [m.element([(g, (j * c[0],)) for g, c in f.items]) for j in range(16)])
+        m, [m.element([(g, (j * c[0],)) for g, c in f.coords]) for j in range(16)])
     # scalar multiples over Z: the product-structure rule covers the rows past the cap
     est = ratio_sequence(m, witness, LOG_CARD, seq)
     assert est.truncated_at is None

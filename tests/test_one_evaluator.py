@@ -83,7 +83,7 @@ def module_subsets(draw):
     if draw(st.booleans()):
         elements.append(plain.zero())
     images = [project(x) for x in elements]
-    return FiniteSubset.of(images[0].module, images)
+    return FiniteSubset.of(images[0].ambient, images)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)

@@ -169,7 +169,7 @@ def test_product_structure_needs_zero_for_length_induced_specs():
 def test_principal_quotient_table_matches_rebuilt_orbit_sums(low_cap):
     m2 = ShiftModule(Z, FinAbGroup.of(2))
     f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    quot = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.items,))
+    quot = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.coords,))
     for elements in ([quot.delta([1])], [quot.zero(), quot.delta([1])],
                      [quot.delta([1]), quot.delta([1], at=(2,))]):
         a = FiniteSubset.of(quot, elements)
