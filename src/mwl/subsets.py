@@ -28,7 +28,11 @@ SET_CAP = 10**6
 
 @dataclass(frozen=True)
 class Element:
-    """An element of a group or shift module, kept as its canonical item."""
+    """An element of a group or shift module, kept as its canonical item.
+
+    Arithmetic calls the ambient's item protocol; `translate` needs a
+    shift module ambient, whose action_shift and _translate_item move it.
+    """
 
     ambient: object
     coords: tuple
