@@ -301,6 +301,12 @@ class EchelonLattice:
         """Rank of (L + R)/R: every torsion column holds one pivot."""
         return len(self._rows) - self._torsion_columns
 
+    def copy(self) -> "EchelonLattice":
+        """An independent copy; rows are shared, as no row is edited in place."""
+        out = EchelonLattice()
+        out.__dict__.update(vars(self), _moduli=dict(self._moduli), _rows=dict(self._rows))
+        return out
+
     def column(self, key, modulus: int):
         """Add the column `key` with its modulus unless present; return key."""
         if key not in self._moduli:

@@ -25,10 +25,10 @@ A table no rule covers has no certificate; its flag constant_exact is
 prefix evidence only (a finite quotient looks constant before it saturates).
 
 Computed rows are always checked against an applicable structural rule,
-so a disagreement raises instead of misreporting.  Sofic rows are counted,
-never enumerated, so they are never truncated.  Enumerated orbit sets
-that would overflow the subset cap truncate the table and mark it, unless
-the product-structure rule covers the missing rows.
+so a disagreement raises instead of misreporting.  Sofic rows (counted)
+and rank and nu rows (one carried lattice) are never truncated.  An orbit
+sum that would overflow the subset cap truncates the table and marks it,
+unless the product-structure rule covers the missing rows.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import ConfigurationError, DomainError, SetSizeLimitError
 from .finabelian import INFINITE, FinAbGroup
 from .groupring import ShiftModule, gr_translate, orbit_sum
 from .intmat import EchelonLattice, exponent_sum
-from .subsets import SET_CAP, Element, FiniteSubset, minkowski_sum
+from .subsets import SET_CAP, Element, FiniteSubset, difference_set, minkowski_sum
 from .values import (
     LOG,
     LengthValue,
@@ -344,17 +344,16 @@ def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
 
 def _table_rows(a: FiniteSubset, spec: WeakLengthSpec, seq: FolnerBoxes):
     """The automaton that counts the rows of A, or None, and the rows as
-    (value, method) in order of n.
+    (value, method) in order of n, each grown from the last by the shell
+    F_n minus F_(n-1).
 
     log_card and tors_log over Z with finite coefficients are counted by
-    the subset-construction automaton of mwl.sofic (method "sofic") unless
-    it passes its state cap; a tors_log count of 0 is the same domain
-    error as an enumerated set that meets no k-torsion.  Other rows are
-    enumerated, each adding the translates over the shell F_n minus
-    F_(n-1) to the previous row: for 0 in A and a length-induced spec they
-    go into one carried lattice, as A^[F_n] and their union generate the
-    same subgroup; else the orbit sum is carried, and |X + Y| >= |X| makes
-    |A^[F_n]| grow with n, so the rows end at the first one past SET_CAP.
+    mwl.sofic (method "sofic") unless it passes its state cap; a tors_log
+    count of 0 is the domain error of a set that meets no k-torsion.  rank
+    and nu rows come from one carried lattice: with a0 the least item of A
+    (0 if 0 is in A), A^[F] = a0^[F] + (A - a0)^[F], so <A^[F]> is spanned
+    by the point a0^[F] and the translates of A - a0, which holds 0.  Other
+    rows carry the orbit sum, and end at the first one past SET_CAP.
     """
     automaton = sofic.subset_automaton(a, spec) if sofic.applies(a.ambient, spec) else None
     return automaton, _rows(a, spec, seq, automaton)
@@ -364,12 +363,19 @@ def _rows(a, spec, seq, automaton):  # the generator behind _table_rows
     if automaton is not None:
         for count in automaton.counts(seq.n_max):
             yield count_value(spec, count), "sofic"
-    elif spec.length_induced and a.contains_zero():
-        lattice = EchelonLattice()
+    elif spec.length_induced:
+        lattice, point = EchelonLattice(), None  # point: a0^[F_n]
+        a0 = FiniteSubset(a.ambient, frozenset([min(a.items)]))  # 0 if 0 is in A
+        shifted = a if a.contains_zero() else difference_set(a, a0)
         for n in range(1, seq.n_max + 1):
             for s in seq.shell(n):
-                span_insert(lattice, a.ambient, gr_translate(-s, a).items)
-            yield span_length(spec, lattice), "enumerated"
+                span_insert(lattice, a.ambient, gr_translate(-s, shifted).items)
+            row = lattice
+            if shifted is not a:  # the point goes into a copy of the lattice
+                point = orbit_sum(a0, seq.shell(n), point)
+                row = lattice.copy()
+                span_insert(row, a.ambient, point.items)
+            yield span_length(spec, row), "enumerated"
     else:
         orbit = None  # A^[F_(n-1)]
         for n in range(1, seq.n_max + 1):
@@ -487,11 +493,9 @@ def addition_report(m2: ShiftModule, quotient,
     ambient module.  The quotient witness is given as a lift in the total
     module and pushed through the projection.  The easy direction
     l((B+B1)^[F]) >= l(B^[F]) + l(C^[F]) is checked exactly row by row.
-    The rows of B + B1 come from the same row source as the tables
-    (_table_rows), so they are counted, carried in a lattice or
-    enumerated as a table of B + B1 would be; they end at the end of the
-    submodule or quotient table, or at the first row of B + B1 past the
-    set cap.
+    The rows of B + B1 come from the row source of the tables
+    (_table_rows); they end with the submodule or quotient table, or at
+    the first orbit sum of B + B1 past the set cap.
     """
     quot, project = quotient
     for x in witness_submodule:

@@ -73,6 +73,29 @@ def test_rows_entering_the_basis_are_reduced_above_later_pivots():
     assert lat._rows[0] == {0: 1, 1: 2}
 
 
+def _state(lat):
+    return (dict(lat._moduli), {c: dict(r) for c, r in lat._rows.items()},
+            lat.omega, lat.free_rank)
+
+
+def test_copy_leaves_the_original_unchanged():
+    lat = EchelonLattice()
+    lat.insert({lat.column(0, 0): 4, lat.column(1, 6): 1})
+    before = _state(lat)
+    twin = lat.copy()
+    assert _state(twin) == before
+    # a gcd step on the free pivot, a new column and a torsion pivot change
+    twin.insert({twin.column(0, 0): 6, twin.column(2, 0): 1})
+    twin.insert({twin.column(1, 6): 3})
+    twin.insert({twin.column(3, 4): 2})
+    assert _state(lat) == before
+    ref = EchelonLattice()
+    for vec in ({0: 4, 1: 1}, {0: 6, 2: 1}, {1: 3}, {3: 2}):
+        moduli = {0: 0, 1: 6, 2: 0, 3: 4}
+        ref.insert({ref.column(c, moduli[c]): v for c, v in vec.items()})
+    assert _state(twin) == _state(ref)
+
+
 # canonical groups with a mix of torsion and free parts (0 is a copy of Z)
 groups = st.lists(st.sampled_from([0, 0, 2, 3, 4, 6, 9, 12]), min_size=1, max_size=3).map(
     lambda factors: FinAbGroup.of(*factors))

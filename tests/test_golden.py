@@ -23,6 +23,7 @@ SCENARIO_COMMANDS = {
     "cover-strictness": "biv-eval",
     "gen-product": "wl-axioms",
     "quotient-upgrading": "biv-check",
+    "rank-without-zero": "mean",
     "torsion-fibonacci": "mean",
     "z2-shift": "mean",
 }
@@ -33,6 +34,7 @@ GOLDEN = {
     "scenario:cover-strictness": (0, "16a5bbd7e73bc0bcc16275e04a2ebe95afac7bf6c580a77a25d66f17487ef07a"),
     "scenario:gen-product": (2, "560dc13bc9e2d173ba7735ecc3a56173d96e3735f6e2c8015e97b68912184364"),
     "scenario:quotient-upgrading": (0, "7fe125a4f14c8d35974772b7621e7195135e967db72ea1a3f6562c4e13110bf8"),
+    "scenario:rank-without-zero": (0, "36a84a138030c43b418ebc80007b9a20852de3a6bdfb42adb62c129b46cd60ce"),
     "scenario:torsion-fibonacci": (0, "e8c39a275e561919286cd8c92f473e8381322c20ffe816d089376875b2ccc5ab"),
     "scenario:z2-shift": (0, "c4f030e4b424dcf2803486995f483655abb28b8ac5a0bc72b4a944659ccc6f8d"),
     "example:addition-coeff-z4": (0, "52b06cd67a5256c9d35ef7c77fd0f2e1295b6009ddbcf8920c2de7e6009547e7"),

@@ -1,20 +1,22 @@
 """Shell-by-shell ratio tables against orbit sums rebuilt from whole boxes.
 
 `ratio_sequence` and the easy rows of `addition_report` take their rows
-from one row source: counted by mwl.sofic where it applies, else grown
-from A^[F_(n-1)] to A^[F_n] (in a lattice for rank and nu with 0 in A),
-ending at the first enumerated row past the set cap.  The reference here
-is the from-scratch orbit sum `orbit_sum(a, seq.box(n))`, under a
-lowered cap so that cap hits happen on small inputs.
+from one row source: counted by mwl.sofic where it applies; for rank and
+nu, one carried lattice of the translates of A - a0 plus the point
+a0^[F_n] (a0 the least item of A), which never reaches the set cap; else
+grown from A^[F_(n-1)] to A^[F_n], ending at the first row past the set
+cap.  The reference here is the from-scratch orbit sum
+`orbit_sum(a, seq.box(n))`, under a lowered cap so that cap hits happen on
+small inputs.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mwl import groupring, meanlen, subsets
 from mwl.errors import SetSizeLimitError
-from mwl.finabelian import FinAbGroup, subgroup_generated
+from mwl.finabelian import AbHom, FinAbGroup, subgroup_generated
 from mwl.groupring import (
     ShiftModule,
     coeff_quotient,
@@ -31,7 +33,7 @@ from mwl.meanlen import (
     ratio_sequence,
 )
 from mwl.sampling import XorShift64Star
-from mwl.subsets import FiniteSubset, minkowski_sum
+from mwl.subsets import FiniteSubset, difference_set, minkowski_sum
 from mwl.values import LengthValue, value_add, value_cmp
 from mwl.weaklength import GEN, LOG_CARD, NU, RANK, tors_log
 
@@ -86,21 +88,27 @@ def _snf_span_value(spec, subset):
 
 
 def _span_ref(spec, a, seq, n):
-    """rank or nu of A^[F_n] for 0 in A: the span of the union of the
-    translates over the whole box, through the Smith-form path."""
-    translates = frozenset().union(*(gr_translate(-s, a).items for s in seq.box(n)))
-    return _snf_span_value(spec, FiniteSubset(a.ambient, translates))
+    """rank or nu of A^[F_n] through the Smith-form path.
+
+    For any a0 in A, A^[F] = a0^[F] + (A - a0)^[F] and 0 is in A - a0, so
+    <A^[F]> is spanned by the translates of A - a0 over the whole box and
+    the point a0^[F].  The tables take the least item for a0; this
+    reference takes the largest.
+    """
+    a0 = FiniteSubset(a.ambient, frozenset([max(a.items)]))
+    box = seq.box(n)
+    translates = frozenset().union(
+        *(gr_translate(-s, difference_set(a, a0)).items for s in box))
+    return _snf_span_value(spec, FiniteSubset(a.ambient, translates | orbit_sum(a0, box).items))
 
 
 def _check_table(module, a, spec, seq):
     est = ratio_sequence(module, a, spec, seq)
-    use_span = spec.length_induced and a.contains_zero()
     for row in est.rows:
         ref = _rebuilt(spec, a, seq, row.n)
-        if use_span:
-            # the span path never materializes the orbit sum, so it also
-            # has rows past the cap; those compare with the union of the
-            # translates over the whole box
+        if spec.length_induced:
+            # the lattice never materializes the orbit sum, so it also has
+            # rows past the cap; those compare with the span reference
             assert row.method == "enumerated"
             assert value_cmp(row.value, _span_ref(spec, a, seq, row.n)) == 0
             assert ref is None or value_cmp(row.value, ref) == 0
@@ -114,7 +122,7 @@ def _check_table(module, a, spec, seq):
     if est.truncated_at is None:
         assert len(est.rows) == seq.n_max
     else:
-        assert not use_span and len(est.rows) == est.truncated_at - 1
+        assert not spec.length_induced and len(est.rows) == est.truncated_at - 1
         assert _rebuilt(spec, a, seq, est.truncated_at) is None
     return est
 
@@ -166,10 +174,15 @@ def test_product_structure_needs_zero_for_length_induced_specs():
     assert [r.value.q for r in est.rows] == [1, 1]
 
 
-def test_principal_quotient_table_matches_rebuilt_orbit_sums(low_cap):
+def _principal_quotient_module():
+    """Z acting on F_2[t^+-1] / (1 + t + t^3)."""
     m2 = ShiftModule(Z, FinAbGroup.of(2))
     f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    quot = ShiftModule(Z, FinAbGroup.of(2), quotient=(f.coords,))
+    return ShiftModule(Z, FinAbGroup.of(2), quotient=(f.coords,))
+
+
+def test_principal_quotient_table_matches_rebuilt_orbit_sums(low_cap):
+    quot = _principal_quotient_module()
     for elements in ([quot.delta([1])], [quot.zero(), quot.delta([1])],
                      [quot.delta([1]), quot.delta([1], at=(2,))]):
         a = FiniteSubset.of(quot, elements)
@@ -177,6 +190,64 @@ def test_principal_quotient_table_matches_rebuilt_orbit_sums(low_cap):
             if spec.kind == "tors_log" and not a.contains_zero():
                 continue
             _check_table(quot, a, spec, FolnerBoxes(Z, 8))
+
+
+LATTICE_COEFFS = (FinAbGroup.free(1), FinAbGroup.of(4), FinAbGroup.of(2, 2),
+                  FinAbGroup.of(3), FinAbGroup((2,), 1))
+LATTICE_MODULES = (
+    *(ShiftModule(ACTING[name], coeff) for name in ("Z", "Z^2", "ZxC2") for coeff in LATTICE_COEFFS),
+    ShiftModule(FinAbGroup.free(2), FinAbGroup.of(2),
+                action=AbHom.from_rows(FinAbGroup.free(2), Z, [[1], [0]])),
+    _principal_quotient_module(),
+)
+
+
+@st.composite
+def witnesses_without_zero(draw):
+    """A module of LATTICE_MODULES, a witness of 1-3 nonzero elements with
+    1-2 terms each, and rank or nu."""
+    module = draw(st.sampled_from(LATTICE_MODULES))
+    support, coeff = module.support_group, module.coeff
+
+    def coords(group, free):
+        return ([draw(st.integers(0, t - 1)) for t in group.torsion]
+                + [draw(free) for _ in range(group.free_rank)])
+
+    items = {module.element([(coords(support, st.integers(0, 2)), coords(coeff, st.integers(-2, 2)))
+                             for _ in range(draw(st.integers(1, 2)))]).coords
+             for _ in range(draw(st.integers(1, 3)))} - {module.zero().coords}
+    assume(items)
+    return module, FiniteSubset.from_items(module, items), draw(st.sampled_from((RANK, NU)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(witnesses_without_zero())
+def test_rank_and_nu_rows_without_zero_match_rebuilt_orbit_sums(case):
+    # every row whose orbit sum fits under the lowered cap is rebuilt from
+    # the whole box and evaluated as a set
+    module, a, spec = case
+    seq = FolnerBoxes(module.group, 8 if module.group.free_rank == 1 else 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subsets, "SET_CAP", CAP)
+        est = ratio_sequence(module, a, spec, seq)
+        for n in range(1, seq.n_max + 1):
+            ref = _rebuilt(spec, a, seq, n)
+            if ref is None:
+                break
+            assert value_cmp(est.rows[n - 1].value, ref) == 0
+
+
+def test_rank_table_without_zero_runs_past_the_cap(low_cap):
+    # {delta_0, 2 delta_1} over Z: the translates of A - a0 = {0, 2t - 1}
+    # span rank n and the point a0^[F_n] adds one more
+    m = ShiftModule(Z, FinAbGroup.free(1))
+    a = FiniteSubset.of(m, [m.delta([1]), m.delta([2], at=(1,))])
+    seq = FolnerBoxes(Z, 40)
+    est = ratio_sequence(m, a, RANK, seq)
+    assert _rebuilt(RANK, a, seq, 9) is None  # 2^9 sums pass the lowered cap
+    assert est.truncated_at is None
+    assert [r.value.q for r in est.rows] == [n + 1 for n in range(1, 41)]
+    assert {r.method for r in est.rows} == {"enumerated"}
 
 
 def _easy_rows_rebuilt(spec, combined, sub, pushed, seq):
@@ -307,18 +378,39 @@ def test_nu_easy_rows_reach_n_max_through_the_lattice(low_cap):
     _check_easy_parts(report)
 
 
-def test_easy_rows_end_at_the_end_of_the_submodule_table(low_cap):
-    # 0 is not in B, so its nu table is enumerated and ends at the cap;
-    # B + B1 contains 0, so its rows come from the lattice and never cap
+def test_nu_easy_rows_reach_n_max_without_zero_in_the_submodule_witness(low_cap):
+    # 0 is not in B, yet its nu table comes from the lattice like the
+    # others, so neither it nor the easy rows end at the cap
     seq = FolnerBoxes(Z, 10)
     report, combined = _z4_addition(
         lambda m: [m.delta([2]), m.delta([2], at=(1,))],
         lambda m: [m.zero(), m.delta([2])], NU, seq)
-    last = report.submodule.truncated_at - 1
-    assert [n for n, _, _ in report.easy_rows] == list(range(1, last + 1))
-    assert _rebuilt(NU, combined, seq, last) is None  # past the cap of B + B1
+    m2 = combined.ambient
+    sub = FiniteSubset.of(m2, [m2.delta([2]), m2.delta([2], at=(1,))])
+    assert _rebuilt(NU, sub, seq, seq.n_max) is None  # B passed the cap
+    assert report.submodule.truncated_at is None
+    for row in report.submodule.rows:
+        assert value_cmp(row.value, _span_ref(NU, sub, seq, row.n)) == 0
+    assert [n for n, _, _ in report.easy_rows] == list(range(1, seq.n_max + 1))
     for n, a_val, _ in report.easy_rows:
         assert value_cmp(a_val, _span_ref(NU, combined, seq, n)) == 0
+    _check_easy_parts(report)
+
+
+def test_easy_rows_end_at_the_end_of_the_submodule_table(low_cap):
+    # gen is enumerated and 0 is not in B, so its table ends at the cap.
+    # B1 is one point, so B + B1 is a translate of B, whose orbit sums pass
+    # the cap at the same row; the quotient table (one point) never does
+    seq = FolnerBoxes(Z, 10)
+    report, combined = _z4_addition(
+        lambda m: [m.delta([2]), m.delta([2], at=(1,))],
+        lambda m: [m.delta([1])], GEN, seq)
+    last = report.submodule.truncated_at - 1
+    assert report.quotient.truncated_at is None
+    assert [n for n, _, _ in report.easy_rows] == list(range(1, last + 1))
+    assert _rebuilt(GEN, combined, seq, last + 1) is None  # past the cap of B + B1
+    for n, a_val, _ in report.easy_rows:
+        assert value_cmp(a_val, _rebuilt(GEN, combined, seq, n)) == 0
     _check_easy_parts(report)
 
 
