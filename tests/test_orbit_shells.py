@@ -244,7 +244,7 @@ def test_rank_table_without_zero_runs_past_the_cap(low_cap):
     a = FiniteSubset.of(m, [m.delta([1]), m.delta([2], at=(1,))])
     seq = FolnerBoxes(Z, 40)
     est = ratio_sequence(m, a, RANK, seq)
-    assert _rebuilt(RANK, a, seq, 9) is None  # 2^9 sums pass the lowered cap
+    assert _rebuilt(RANK, a, seq, 9) is None  # its orbit sum passed the lowered cap
     assert est.truncated_at is None
     assert [r.value.q for r in est.rows] == [n + 1 for n in range(1, 41)]
     assert {r.method for r in est.rows} == {"enumerated"}
