@@ -217,20 +217,28 @@ def presentation_from_relations(ambient_dim, relation_rows):
     return group, proj, section
 
 
-def _subgroup_from_rows(g: FinAbGroup, rows) -> tuple[FinAbGroup, AbHom]:
-    """Present (rowspan(rows) + relations)/relations as a subgroup of g."""
-    lattice = row_basis([list(r) for r in rows] + g.relation_rows())
-    if not lattice:
-        trivial = FinAbGroup()
-        return trivial, AbHom.from_rows(trivial, g, [])
+def present_subgroup(rows, relations) -> tuple[FinAbGroup, list[list[int]], list[list[int]]]:
+    """Present (rowspan(rows) + R)/R, R the span of the relation rows.
+
+    Returns (group, basis, section): basis is the Hermite basis of
+    rowspan(rows) + R, and section writes each canonical generator of the
+    group in that basis.
+    """
+    basis = row_basis([list(r) for r in rows] + relations)
     rel_in_basis = []
-    for rel in g.relation_rows():
-        coeffs = solve_left(lattice, rel)
+    for rel in relations:
+        coeffs = solve_left(basis, rel)
         if coeffs is None:
             raise DomainError("group relation outside the subgroup lattice")
         rel_in_basis.append(coeffs)
-    sub, _, section = presentation_from_relations(len(lattice), rel_in_basis)
-    incl_rows = matmul(section, lattice)
+    group, _, section = presentation_from_relations(len(basis), rel_in_basis)
+    return group, basis, section
+
+
+def _subgroup_from_rows(g: FinAbGroup, rows) -> tuple[FinAbGroup, AbHom]:
+    """Present (rowspan(rows) + relations)/relations as a subgroup of g."""
+    sub, basis, section = present_subgroup(rows, g.relation_rows())
+    incl_rows = matmul(section, basis)
     return sub, AbHom.from_rows(sub, g, [g.reduce(r) for r in incl_rows])
 
 

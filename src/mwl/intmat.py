@@ -8,8 +8,8 @@ right.  The Smith form returns its right transform v with v's inverse
 transform.  left_kernel is the one kernel routine: kernels of group
 homomorphisms, of F_p matrices (stacked over p*I) and of the sofic
 transfer systems all come from it.  EchelonLattice grows one echelon
-basis vector by vector, with no transform, for callers that only need
-the rank and the index it gives.
+basis vector by vector, with no transform: its rank and index give
+`rank` and `nu`, and its dense rows the presentation that gives `gen`.
 """
 
 from __future__ import annotations
@@ -307,6 +307,15 @@ class EchelonLattice:
         out.__dict__.update(vars(self), _moduli=dict(self._moduli), _rows=dict(self._rows))
         return out
 
+    def dense(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The basis rows of L + R and the relations t*e_c of R as dense
+        rows over the sorted columns."""
+        columns = sorted(self._moduli)
+        rows = [[row.get(k, 0) for k in columns] for _, row in sorted(self._rows.items())]
+        relations = [[self._moduli[k] if k == c else 0 for k in columns]
+                     for c in columns if self._moduli[c]]
+        return rows, relations
+
     def column(self, key, modulus: int):
         """Add the column `key` with its modulus unless present; return key."""
         if key not in self._moduli:
@@ -343,7 +352,7 @@ class EchelonLattice:
     def insert(self, vec) -> None:
         """Add the vector {column: entry} (columns added beforehand) to L."""
         v = self._combine(vec, 1, {}, 0)
-        rows = self._rows
+        rows, moduli = self._rows, self._moduli
         while v:
             c = min(v)
             a = v[c]
@@ -352,12 +361,20 @@ class EchelonLattice:
                 self._install(c, v if a > 0 else self._combine(v, -1, {}, 0))
                 return
             p = row[c]
-            if a % p == 0:
-                v = self._combine(v, 1, row, -(a // p))
+            if a % p == 0:  # v is this insert's own dict: update it in place
+                q = a // p
+                for k, e in row.items():
+                    x = v.get(k, 0) - q * e
+                    if moduli[k]:
+                        x %= moduli[k]
+                    if x:
+                        v[k] = x
+                    else:
+                        v.pop(k, None)
                 continue
             g, x, y = _xgcd(p, a)
             pivot_row = self._combine(row, x, v, y)
             v = self._combine(v, p // g, row, -(a // g))
-            if self._moduli[c]:
+            if moduli[c]:
                 self.omega += exponent_sum(p // g)
             self._install(c, pivot_row)

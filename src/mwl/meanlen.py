@@ -26,9 +26,9 @@ prefix evidence only (a finite quotient looks constant before it saturates).
 
 Computed rows are always checked against an applicable structural rule,
 so a disagreement raises instead of misreporting.  Sofic rows (counted)
-and rank and nu rows (one carried lattice) are never truncated.  An orbit
-sum that would overflow the subset cap truncates the table and marks it,
-unless the product-structure rule covers the missing rows.
+and rank, nu and gen rows (one carried lattice) are never truncated.  An
+orbit sum that would overflow the subset cap truncates the table and
+marks it, unless the product-structure rule covers the missing rows.
 """
 
 from __future__ import annotations
@@ -255,10 +255,7 @@ def _scalar_multiples_witness(module: ShiftModule, a: FiniteSubset) -> bool:
     coeff = module.coeff
     if coeff.ambient_dim != 1:
         return False
-    if coeff.torsion:
-        if exponent_sum(coeff.torsion[0]) != 1:
-            return False
-    elif coeff.free_rank != 1:
+    if coeff.torsion and exponent_sum(coeff.torsion[0]) != 1:
         return False
     if module.support_group.torsion:
         return False
@@ -349,11 +346,13 @@ def _table_rows(a: FiniteSubset, spec: WeakLengthSpec, seq: FolnerBoxes):
 
     log_card and tors_log over Z with finite coefficients are counted by
     mwl.sofic (method "sofic") unless it passes its state cap; a tors_log
-    count of 0 is the domain error of a set that meets no k-torsion.  rank
-    and nu rows come from one carried lattice: with a0 the least item of A
-    (0 if 0 is in A), A^[F] = a0^[F] + (A - a0)^[F], so <A^[F]> is spanned
-    by the point a0^[F] and the translates of A - a0, which holds 0.  Other
-    rows carry the orbit sum, and end at the first one past SET_CAP.
+    count of 0 is the domain error of a set that meets no k-torsion.  rank,
+    nu and gen depend on A^[F] only through its span, and their rows come
+    from one carried lattice: with a0 the least item of A (0 if 0 is in
+    A), A^[F] = a0^[F] + (A - a0)^[F], so <A^[F]> is spanned by the point
+    a0^[F] and the translates of A - a0, which holds 0.  Other log_card and
+    tors_log rows carry the orbit sum, and end at the first one past
+    SET_CAP.
     """
     automaton = sofic.subset_automaton(a, spec) if sofic.applies(a.ambient, spec) else None
     return automaton, _rows(a, spec, seq, automaton)
@@ -363,7 +362,7 @@ def _rows(a, spec, seq, automaton):  # the generator behind _table_rows
     if automaton is not None:
         for count in automaton.counts(seq.n_max):
             yield count_value(spec, count), "sofic"
-    elif spec.length_induced:
+    elif spec.kind not in ("log_card", "tors_log"):  # rank, nu, gen
         lattice, point = EchelonLattice(), None  # point: a0^[F_n]
         a0 = FiniteSubset(a.ambient, frozenset([min(a.items)]))  # 0 if 0 is in A
         shifted = a if a.contains_zero() else difference_set(a, a0)

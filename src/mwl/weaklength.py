@@ -13,6 +13,10 @@ Five selectors are provided:
 `gen` is kept as the standing counterexample: it is monotone but fails
 the product property, so it is not a weak length.
 
+log_card and tors_log count items.  rank, nu and gen depend on A only
+through <A>, and all three are read off one echelon lattice of the items
+(intmat.EchelonLattice), for group and module subsets alike.
+
 Each axiom is one function that draws its instance from a seeded
 xorshift64* stream and returns the counterexample or None; `AXIOMS` maps
 the axiom names to them.  check_axiom runs one axiom through
@@ -32,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .finabelian import FinAbGroup, direct_sum, subgroup_generated
-from .groupring import embed_subset
+from .finabelian import FinAbGroup, direct_sum, present_subgroup
 from .intmat import EchelonLattice
 from .sampling import (
     XorShift64Star,
@@ -86,12 +89,17 @@ def tors_log(k: int) -> WeakLengthSpec:
 
 
 def span_length(spec: WeakLengthSpec, lattice: EchelonLattice) -> LengthValue:
-    """rank or nu of the subgroup (L + R)/R that an echelon lattice holds.
+    """rank, nu or gen of the subgroup (L + R)/R that an echelon lattice holds.
 
     nu is the composition length, the number of prime factors of the
     subgroup's order, which is the sum of the elementary-divisor
-    exponents; +inf when the subgroup has a free part.
+    exponents; +inf when the subgroup has a free part.  gen is the number
+    of invariant factors, read off the presentation of the lattice's
+    basis rows subject to the relations of its torsion columns.
     """
+    if spec.kind == "gen":
+        span, _, _ = present_subgroup(*lattice.dense())
+        return LengthValue.rational(span.free_rank + len(span.torsion))
     if spec.kind == "rank":
         return LengthValue.rational(lattice.free_rank)
     if lattice.free_rank:
@@ -132,7 +140,9 @@ def eval_weak_length(spec: WeakLengthSpec, ambient, a: FiniteSubset) -> LengthVa
     of a shift module.
 
     Items are read through the ambient's coordinate view (`_moduli`,
-    `_terms`); only `gen` embeds a module subset into a group first.
+    `_terms`), so groups and modules take the same path: log_card and
+    tors_log count items, and rank, nu and gen, which depend on A only
+    through <A>, read one echelon lattice of the items.
     """
     if a.ambient != ambient:
         raise DomainError("subset does not live in the given group or module")
@@ -159,16 +169,9 @@ def eval_weak_length(spec: WeakLengthSpec, ambient, a: FiniteSubset) -> LengthVa
                 count += 1
         return count_value(spec, count)
 
-    if spec.length_induced:
-        lattice = EchelonLattice()
-        span_insert(lattice, ambient, a.items)
-        return span_length(spec, lattice)
-
-    # gen: free rank plus number of invariant factors
-    if not isinstance(ambient, FinAbGroup):
-        ambient, a = embed_subset(a)
-    span, _ = subgroup_generated(ambient, list(a))
-    return LengthValue.rational(span.free_rank + len(span.torsion))
+    lattice = EchelonLattice()
+    span_insert(lattice, ambient, a.items)
+    return span_length(spec, lattice)
 
 
 @dataclass(frozen=True)

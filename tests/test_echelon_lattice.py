@@ -1,10 +1,11 @@
-"""The echelon lattice behind rank and nu, against the Smith-form path.
+"""The echelon lattice behind rank, nu and gen, against the Smith-form path.
 
-`eval_weak_length` and the span rows of `ratio_sequence` read rank and nu
-off one incrementally grown `EchelonLattice`.  The reference here is the
-slow exact path: `subgroup_generated` (Hermite and Smith forms) for the
-free rank and the invariant factors, with nu the sum of their prime
-exponents.
+`eval_weak_length` and the span rows of `ratio_sequence` read rank, nu
+and gen off one incrementally grown `EchelonLattice`.  The reference here
+is the slow exact path: `subgroup_generated` (Hermite and Smith forms)
+for the free rank and the invariant factors, with nu the sum of their
+prime exponents and gen their number; a module subset is embedded into
+one group first (`embed_subset`).
 """
 
 import math
@@ -13,12 +14,12 @@ import time
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mwl.finabelian import FinAbGroup, subgroup_generated
-from mwl.groupring import ShiftModule, embed_subset, orbit_sum
+from mwl.finabelian import AbHom, FinAbGroup, subgroup_generated
+from mwl.groupring import ShiftModule, embed_subset, orbit_sum, principal_quotient
 from mwl.intmat import EchelonLattice, exponent_sum
 from mwl.meanlen import N_MAX_LIMIT, FolnerBoxes, ratio_sequence
 from mwl.subsets import FiniteSubset
-from mwl.weaklength import NU, RANK, eval_weak_length
+from mwl.weaklength import GEN, NU, RANK, eval_weak_length
 
 Z = FinAbGroup.free(1)
 
@@ -119,6 +120,49 @@ def generating_sets(draw):
 def test_lattice_matches_subgroup_generated(case):
     g, elements = case
     assert _lattice_values(g, elements) == _snf_values(g, elements)
+
+
+Z2 = FinAbGroup.free(2)
+MODULES = (
+    *(ShiftModule(acting, coeff)
+      for acting in (Z, Z2, FinAbGroup((2,), 1))
+      for coeff in (Z, FinAbGroup.of(4), FinAbGroup.of(2, 6), FinAbGroup.of(3), FinAbGroup((2,), 1))),
+    ShiftModule(Z2, FinAbGroup.of(2), action=AbHom.from_rows(Z2, Z, [[1], [0]])),
+)
+
+
+@st.composite
+def module_subsets(draw):
+    """A module of MODULES or a principal quotient of F2 or F3 shifts, and
+    1-4 elements of 1-3 terms."""
+    if draw(st.booleans()):
+        module = draw(st.sampled_from(MODULES))
+    else:
+        p = draw(st.sampled_from((2, 3)))
+        m = ShiftModule(Z, FinAbGroup.of(p))
+        f = m.element([((0,), (1,)), ((draw(st.integers(1, 3)),), (p - 1,))])
+        module, _ = principal_quotient(m, [f])
+    support, coeff = module.support_group, module.coeff
+
+    def coords(group, free):
+        return ([draw(st.integers(0, t - 1)) for t in group.torsion]
+                + [draw(free) for _ in range(group.free_rank)])
+
+    return module, [module.element([(coords(support, st.integers(0, 2)), coords(coeff, st.integers(-6, 6)))
+                                    for _ in range(draw(st.integers(1, 3)))])
+                    for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(generating_sets(), module_subsets()), st.booleans())
+def test_lattice_gen_matches_subgroup_generated(case, with_zero):
+    ambient, elements = case
+    a = FiniteSubset.of(ambient, elements + [ambient.zero()] * with_zero)
+    if isinstance(ambient, FinAbGroup):
+        span, _ = subgroup_generated(ambient, list(a))
+    else:
+        span, _ = subgroup_generated(*embed_subset(a))
+    assert eval_weak_length(GEN, ambient, a).q == span.free_rank + len(span.torsion)
 
 
 def test_principal_quotient_span_rows_match_snf_of_rebuilt_orbit_sums():

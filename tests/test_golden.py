@@ -22,6 +22,7 @@ SCENARIO_COMMANDS = {
     "addition-z4": "addition",
     "cover-strictness": "biv-eval",
     "gen-product": "wl-axioms",
+    "gen-table": "mean",
     "quotient-upgrading": "biv-check",
     "rank-without-zero": "mean",
     "torsion-fibonacci": "mean",
@@ -33,6 +34,7 @@ GOLDEN = {
     "scenario:addition-z4": (0, "d15b87a108ac866badbcc034ad4e0397064e8df9ee35a29acdce7e0b561268c9"),
     "scenario:cover-strictness": (0, "16a5bbd7e73bc0bcc16275e04a2ebe95afac7bf6c580a77a25d66f17487ef07a"),
     "scenario:gen-product": (2, "560dc13bc9e2d173ba7735ecc3a56173d96e3735f6e2c8015e97b68912184364"),
+    "scenario:gen-table": (0, "276934caee8f81647a61ee910c08b3e0366f2127e9db09f5710ae961811515d9"),
     "scenario:quotient-upgrading": (0, "7fe125a4f14c8d35974772b7621e7195135e967db72ea1a3f6562c4e13110bf8"),
     "scenario:rank-without-zero": (0, "36a84a138030c43b418ebc80007b9a20852de3a6bdfb42adb62c129b46cd60ce"),
     "scenario:torsion-fibonacci": (0, "e8c39a275e561919286cd8c92f473e8381322c20ffe816d089376875b2ccc5ab"),

@@ -167,7 +167,7 @@ def test_span_of_a_set_in_an_infinite_principal_quotient():
                                quot.delta([0, 1], at=(1,)), quot.delta([1, 0])])
     assert eval_module_subset(RANK, a).q == 0
     assert eval_module_subset(NU, a).q == 2
-    # gen embeds the normal forms coefficient-wise: F2^2 needs two generators
+    # gen reads the span off the same lattice: F2^2 needs two generators
     assert eval_module_subset(GEN, a).q == 2
 
 

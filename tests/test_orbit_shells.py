@@ -1,8 +1,8 @@
 """Shell-by-shell ratio tables against orbit sums rebuilt from whole boxes.
 
 `ratio_sequence` and the easy rows of `addition_report` take their rows
-from one row source: counted by mwl.sofic where it applies; for rank and
-nu, one carried lattice of the translates of A - a0 plus the point
+from one row source: counted by mwl.sofic where it applies; for rank, nu
+and gen, one carried lattice of the translates of A - a0 plus the point
 a0^[F_n] (a0 the least item of A), which never reaches the set cap; else
 grown from A^[F_(n-1)] to A^[F_n], ending at the first row past the set
 cap.  The reference here is the from-scratch orbit sum
@@ -46,6 +46,7 @@ ACTING = {
     "ZxC2": FinAbGroup((2,), 1),
     "C3": FinAbGroup.of(3),  # finite: every shell after the first is empty
 }
+THROUGH_Z = AbHom.from_rows(FinAbGroup.free(2), Z, [[1], [0]])  # Z^2 acting through Z
 COEFFS = (FinAbGroup.of(2), FinAbGroup.of(3), FinAbGroup.of(4), FinAbGroup.free(1))
 FINITE_COEFFS = (FinAbGroup.of(4), FinAbGroup.of(2, 2), FinAbGroup.of(3), FinAbGroup.of(2))
 
@@ -77,9 +78,11 @@ def _rebuilt(spec, a, seq, n):
 
 
 def _snf_span_value(spec, subset):
-    """rank or nu through the Smith-form path instead of the echelon lattice."""
+    """rank, nu or gen through the Smith-form path instead of the echelon lattice."""
     ambient, embedded = embed_subset(subset)
     span, _ = subgroup_generated(ambient, list(embedded))
+    if spec.kind == "gen":
+        return LengthValue.rational(span.free_rank + len(span.torsion))
     if spec.kind == "rank":
         return LengthValue.rational(span.free_rank)
     if span.free_rank:
@@ -88,7 +91,7 @@ def _snf_span_value(spec, subset):
 
 
 def _span_ref(spec, a, seq, n):
-    """rank or nu of A^[F_n] through the Smith-form path.
+    """rank, nu or gen of A^[F_n] through the Smith-form path.
 
     For any a0 in A, A^[F] = a0^[F] + (A - a0)^[F] and 0 is in A - a0, so
     <A^[F]> is spanned by the translates of A - a0 over the whole box and
@@ -102,11 +105,16 @@ def _span_ref(spec, a, seq, n):
     return _snf_span_value(spec, FiniteSubset(a.ambient, translates | orbit_sum(a0, box).items))
 
 
+def _spans(spec):
+    """Whether the tables of spec come from the lattice: rank, nu and gen."""
+    return spec.kind in ("rank", "nu", "gen")
+
+
 def _check_table(module, a, spec, seq):
     est = ratio_sequence(module, a, spec, seq)
     for row in est.rows:
         ref = _rebuilt(spec, a, seq, row.n)
-        if spec.length_induced:
+        if _spans(spec):
             # the lattice never materializes the orbit sum, so it also has
             # rows past the cap; those compare with the span reference
             assert row.method == "enumerated"
@@ -122,7 +130,7 @@ def _check_table(module, a, spec, seq):
     if est.truncated_at is None:
         assert len(est.rows) == seq.n_max
     else:
-        assert not spec.length_induced and len(est.rows) == est.truncated_at - 1
+        assert not _spans(spec) and len(est.rows) == est.truncated_at - 1
         assert _rebuilt(spec, a, seq, est.truncated_at) is None
     return est
 
@@ -150,7 +158,7 @@ def test_random_tables_match_rebuilt_orbit_sums(low_cap, name):
         module = ShiftModule(acting, coeff)
         for trial in range(3):
             elements = [_random_element(rng, module) for _ in range(rng.below(3) + 1)]
-            specs = [LOG_CARD, RANK, NU]
+            specs = [LOG_CARD, RANK, NU, GEN]
             if coeff.torsion:
                 specs.append(tors_log(coeff.torsion[0]))
             for spec in specs:
@@ -186,7 +194,7 @@ def test_principal_quotient_table_matches_rebuilt_orbit_sums(low_cap):
     for elements in ([quot.delta([1])], [quot.zero(), quot.delta([1])],
                      [quot.delta([1]), quot.delta([1], at=(2,))]):
         a = FiniteSubset.of(quot, elements)
-        for spec in (LOG_CARD, RANK, NU, tors_log(2)):
+        for spec in (LOG_CARD, RANK, NU, GEN, tors_log(2)):
             if spec.kind == "tors_log" and not a.contains_zero():
                 continue
             _check_table(quot, a, spec, FolnerBoxes(Z, 8))
@@ -196,8 +204,7 @@ LATTICE_COEFFS = (FinAbGroup.free(1), FinAbGroup.of(4), FinAbGroup.of(2, 2),
                   FinAbGroup.of(3), FinAbGroup((2,), 1))
 LATTICE_MODULES = (
     *(ShiftModule(ACTING[name], coeff) for name in ("Z", "Z^2", "ZxC2") for coeff in LATTICE_COEFFS),
-    ShiftModule(FinAbGroup.free(2), FinAbGroup.of(2),
-                action=AbHom.from_rows(FinAbGroup.free(2), Z, [[1], [0]])),
+    ShiftModule(FinAbGroup.free(2), FinAbGroup.of(2), action=THROUGH_Z),
     _principal_quotient_module(),
 )
 
@@ -267,49 +274,64 @@ def _check_easy_rows(report, expected):
         assert value_cmp(a_val, a_ref) == 0 and value_cmp(parts, parts_ref) == 0
 
 
-@pytest.mark.parametrize("case", ["coeff-z4", "principal-z2"])
-def test_easy_rows_match_rebuilt_orbit_sums(low_cap, monkeypatch, case):
+def _addition_case(case, action=None):
+    """(M, (M/N, projection), total witness, B, B1) of one addition case,
+    acted on by Z or, through `action`, by Z^2."""
+    group = Z if action is None else action.source
     if case == "coeff-z4":
-        m2 = ShiftModule(Z, FinAbGroup.of(4))
+        m2 = ShiftModule(group, FinAbGroup.of(4), action)
         n1 = coeff_quotient(m2, [[2]])
         total = FiniteSubset.of(m2, [m2.delta([c]) for c in range(4)])
         sub = FiniteSubset.of(m2, [m2.zero(), m2.delta([2])])
     else:
-        m2 = ShiftModule(Z, FinAbGroup.of(2))
+        m2 = ShiftModule(group, FinAbGroup.of(2), action)
         f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
         n1 = principal_quotient(m2, [f])
         total = FiniteSubset.of(m2, [m2.zero(), m2.delta([1])])
         sub = FiniteSubset.of(m2, [m2.zero(), f])
     lift = FiniteSubset.of(m2, [m2.zero(), m2.delta([1]), m2.delta([1], at=(1,))])
-    quot, project = n1
-    pushed = FiniteSubset.of(quot, [project(x) for x in lift])
+    return m2, n1, total, sub, lift
+
+
+def _pushed(quotient, lift):
+    quot, project = quotient
+    return FiniteSubset.of(quot, [project(x) for x in lift])
+
+
+@pytest.mark.parametrize("case", ["coeff-z4", "principal-z2"])
+def test_easy_rows_match_rebuilt_orbit_sums(low_cap, monkeypatch, case):
+    # Z^2 acting through Z: no automaton counts log_card and the
+    # product-structure rule does not apply, so B + B1 is enumerated.  0 is
+    # in B and in B1, so B + B1 contains both parts and reaches the lowered
+    # cap first: the rows end where all three rebuilt orbit sums still fit
+    m2, n1, total, sub, lift = _addition_case(case, THROUGH_Z)
+    seq = FolnerBoxes(THROUGH_Z.source, 7)
+    report = addition_report(m2, n1, sub, total, lift, LOG_CARD, seq)
     combined = minkowski_sum(sub, lift)
+    expected = _easy_rows_rebuilt(LOG_CARD, combined, sub, _pushed(n1, lift), seq)
+    assert 0 < len(expected) < seq.n_max
+    assert _rebuilt(LOG_CARD, combined, seq, len(expected) + 1) is None
+    _check_easy_rows(report, expected)
+
+    # log_card and tors_log acted on by Z with finite coefficients: B + B1
+    # is counted by mwl.sofic like the tables, so its rows run past the
+    # lowered cap to the end of the submodule and quotient tables
+    m2, n1, total, sub, lift = _addition_case(case)
     seq = FolnerBoxes(Z, 7)
     reports = {spec.kind: addition_report(m2, n1, sub, total, lift, spec, seq)
-               for spec in (LOG_CARD, tors_log(2), GEN)}
-
-    # gen is not counted, so B + B1 is enumerated.  0 is in B and in B1,
-    # so B + B1 contains both parts and reaches the lowered cap first: the
-    # rows end where all three rebuilt orbit sums still fit
-    expected = _easy_rows_rebuilt(GEN, combined, sub, pushed, seq)
-    assert len(expected) < seq.n_max
-    assert _rebuilt(GEN, combined, seq, len(expected) + 1) is None
-    _check_easy_rows(reports["gen"], expected)
-
-    # log_card and tors_log over Z with finite coefficients: B + B1 is
-    # counted by mwl.sofic like the tables, so its rows run past the
-    # lowered cap to the end of the submodule and quotient tables
+               for spec in (LOG_CARD, tors_log(2))}
+    combined = minkowski_sum(sub, lift)
     assert _rebuilt(LOG_CARD, combined, seq, seq.n_max) is None
     monkeypatch.setattr(subsets, "SET_CAP", SET_CAP)
     for spec in (LOG_CARD, tors_log(2)):
-        expected = _easy_rows_rebuilt(spec, combined, sub, pushed, seq)
+        expected = _easy_rows_rebuilt(spec, combined, sub, _pushed(n1, lift), seq)
         assert len(expected) == seq.n_max  # every row fits under the real cap
         _check_easy_rows(reports[spec.kind], expected)
 
 
-def _z4_addition(sub_elements, lift_elements, spec, seq):
+def _z4_addition(sub_elements, lift_elements, spec, seq, action=None):
     """Addition report over C4 with N = 2C4, and B + B1."""
-    m2 = ShiftModule(Z, FinAbGroup.of(4))
+    m2 = ShiftModule(seq.group, FinAbGroup.of(4), action)
     sub = FiniteSubset.of(m2, sub_elements(m2))
     lift = FiniteSubset.of(m2, lift_elements(m2))
     total = FiniteSubset.of(m2, [m2.delta([c]) for c in range(4)])
@@ -398,20 +420,37 @@ def test_nu_easy_rows_reach_n_max_without_zero_in_the_submodule_witness(low_cap)
 
 
 def test_easy_rows_end_at_the_end_of_the_submodule_table(low_cap):
-    # gen is enumerated and 0 is not in B, so its table ends at the cap.
-    # B1 is one point, so B + B1 is a translate of B, whose orbit sums pass
-    # the cap at the same row; the quotient table (one point) never does
-    seq = FolnerBoxes(Z, 10)
+    # log_card with Z^2 acting through Z is enumerated, and no structural
+    # rule covers B, so its table ends at the cap.  B1 is one point, so
+    # B + B1 is a translate of B, whose orbit sums pass the cap at the same
+    # row; the quotient table (one point) never does
+    seq = FolnerBoxes(THROUGH_Z.source, 10)
     report, combined = _z4_addition(
         lambda m: [m.delta([2]), m.delta([2], at=(1,))],
-        lambda m: [m.delta([1])], GEN, seq)
+        lambda m: [m.delta([1])], LOG_CARD, seq, THROUGH_Z)
     last = report.submodule.truncated_at - 1
     assert report.quotient.truncated_at is None
     assert [n for n, _, _ in report.easy_rows] == list(range(1, last + 1))
-    assert _rebuilt(GEN, combined, seq, last + 1) is None  # past the cap of B + B1
+    assert _rebuilt(LOG_CARD, combined, seq, last + 1) is None  # past the cap of B + B1
     for n, a_val, _ in report.easy_rows:
-        assert value_cmp(a_val, _rebuilt(GEN, combined, seq, n)) == 0
+        assert value_cmp(a_val, _rebuilt(LOG_CARD, combined, seq, n)) == 0
     _check_easy_parts(report)
+
+
+def test_gen_table_runs_past_the_cap(low_cap):
+    # gen reads the span, so its rows come from the lattice like rank's:
+    # {0, d0, d1} over C2 spans C2^(n+1), and {d0, 2 d1} over Z (no 0)
+    # spans Z^(n+1), on rows whose orbit sums pass the lowered cap
+    for coeff, elements in ((FinAbGroup.of(2), lambda m: [m.zero(), m.delta([1]), m.delta([1], at=(1,))]),
+                            (FinAbGroup.free(1), lambda m: [m.delta([1]), m.delta([2], at=(1,))])):
+        m = ShiftModule(Z, coeff)
+        a = FiniteSubset.of(m, elements(m))
+        seq = FolnerBoxes(Z, 40)
+        est = ratio_sequence(m, a, GEN, seq)
+        assert _rebuilt(GEN, a, seq, 9) is None  # its orbit sum passed the lowered cap
+        assert est.truncated_at is None
+        assert [r.value.q for r in est.rows] == [n + 1 for n in range(1, 41)]
+        assert {r.method for r in est.rows} == {"enumerated"}
 
 
 def _spy_on_minkowski(monkeypatch):
