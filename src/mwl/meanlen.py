@@ -29,6 +29,8 @@ so a disagreement raises instead of misreporting.  Sofic rows (counted)
 and rank, nu and gen rows (one carried lattice) are never truncated.  An
 orbit sum that would overflow the subset cap truncates the table and
 marks it, unless the product-structure rule covers the missing rows.
+An orbit sum that is the whole finite module M ends the summing: every
+later row's set is M again, since M + B = M for any nonempty B in M.
 """
 
 from __future__ import annotations
@@ -352,7 +354,9 @@ def _table_rows(a: FiniteSubset, spec: WeakLengthSpec, seq: FolnerBoxes):
     A), A^[F] = a0^[F] + (A - a0)^[F], so <A^[F]> is spanned by the point
     a0^[F] and the translates of A - a0, which holds 0.  Other log_card and
     tors_log rows carry the orbit sum, and end at the first one past
-    SET_CAP.
+    SET_CAP.  Once the orbit sum is the whole module M (finite), no more
+    are built: A^[F_n] = A^[F_(n-1)] + B with B nonempty, and M + B = M,
+    so every later row is the value of M.
     """
     automaton = sofic.subset_automaton(a, spec) if sofic.applies(a.ambient, spec) else None
     return automaton, _rows(a, spec, seq, automaton)
@@ -376,13 +380,15 @@ def _rows(a, spec, seq, automaton):  # the generator behind _table_rows
                 span_insert(row, a.ambient, point.items)
             yield span_length(spec, row), "enumerated"
     else:
-        orbit = None  # A^[F_(n-1)]
+        orbit, whole = None, a.ambient.cardinality()  # A^[F_(n-1)], |M|
         for n in range(1, seq.n_max + 1):
-            try:
-                orbit = orbit_sum(a, seq.shell(n), orbit)
-            except SetSizeLimitError:
-                return
-            yield eval_module_subset(spec, orbit), "enumerated"
+            if orbit is None or len(orbit) != whole:  # else M + B = M: the set stays M
+                try:
+                    orbit = orbit_sum(a, seq.shell(n), orbit)
+                except SetSizeLimitError:
+                    return
+                value = eval_module_subset(spec, orbit)
+            yield value, "enumerated"
 
 
 def _fekete_ok(values) -> bool:

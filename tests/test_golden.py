@@ -21,6 +21,7 @@ SCENARIO_COMMANDS = {
     "addition-principal": "addition",
     "addition-z4": "addition",
     "cover-strictness": "biv-eval",
+    "finite-quotient": "mean",
     "gen-product": "wl-axioms",
     "gen-table": "mean",
     "quotient-upgrading": "biv-check",
@@ -33,6 +34,7 @@ GOLDEN = {
     "scenario:addition-principal": (0, "74099abfacd70fed9767a01947004c83fcda489cee7fc299d521330102a632f2"),
     "scenario:addition-z4": (0, "d15b87a108ac866badbcc034ad4e0397064e8df9ee35a29acdce7e0b561268c9"),
     "scenario:cover-strictness": (0, "16a5bbd7e73bc0bcc16275e04a2ebe95afac7bf6c580a77a25d66f17487ef07a"),
+    "scenario:finite-quotient": (0, "3c04ab8fbb67cded72206e0138c2009712b8cd7cfd8ec86933a025049b221dfb"),
     "scenario:gen-product": (2, "560dc13bc9e2d173ba7735ecc3a56173d96e3735f6e2c8015e97b68912184364"),
     "scenario:gen-table": (0, "276934caee8f81647a61ee910c08b3e0366f2127e9db09f5710ae961811515d9"),
     "scenario:quotient-upgrading": (0, "7fe125a4f14c8d35974772b7621e7195135e967db72ea1a3f6562c4e13110bf8"),

@@ -182,11 +182,16 @@ def test_product_structure_needs_zero_for_length_induced_specs():
     assert [r.value.q for r in est.rows] == [1, 1]
 
 
+def _principal(p, coeffs):
+    """Z acting on F_p[t^+-1] / (f), f the sum of coeffs[i] t^i."""
+    m = ShiftModule(Z, FinAbGroup.of(p))
+    f = m.element([((i,), (c,)) for i, c in enumerate(coeffs) if c])
+    return ShiftModule(Z, FinAbGroup.of(p), quotient=(f.coords,))
+
+
 def _principal_quotient_module():
     """Z acting on F_2[t^+-1] / (1 + t + t^3)."""
-    m2 = ShiftModule(Z, FinAbGroup.of(2))
-    f = m2.element([((0,), (1,)), ((1,), (1,)), ((3,), (1,))])
-    return ShiftModule(Z, FinAbGroup.of(2), quotient=(f.coords,))
+    return _principal(2, [1, 1, 0, 1])
 
 
 def test_principal_quotient_table_matches_rebuilt_orbit_sums(low_cap):
@@ -198,6 +203,69 @@ def test_principal_quotient_table_matches_rebuilt_orbit_sums(low_cap):
             if spec.kind == "tors_log" and not a.contains_zero():
                 continue
             _check_table(quot, a, spec, FolnerBoxes(Z, 8))
+
+
+def test_orbit_sums_stop_at_the_whole_module(monkeypatch):
+    # F_2[t^+-1] / (1 + t^3 + t^10) has 1024 elements, and {0, d0}^[F_n]
+    # holds the 2^n polynomials of degree < n: from n = 10 on it is the
+    # whole module, so rows 11-20 are read off without an orbit sum
+    calls = []
+    real = meanlen.orbit_sum
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(meanlen, "orbit_sum", counted)
+    quot = _principal(2, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
+    a = FiniteSubset.of(quot, [quot.zero(), quot.delta([1])])
+    est = ratio_sequence(quot, a, LOG_CARD, FolnerBoxes(Z, 20))
+    assert len(calls) <= 10
+    assert [r.value.count for r in est.rows] == [min(2 ** n, 1024) for n in range(1, 21)]
+    assert est.limit.kind == "finite-module"
+
+
+@st.composite
+def finite_module_tables(draw):
+    """A finite module acted on by Z, a witness of 1-3 elements with or
+    without 0, log_card or tors_log(p), and n_max past the row where the
+    orbit sums of {0, d0} stop growing.  The module is F_p[t^+-1] / (f)
+    for p = 2 or 3 and f of degree 1-6 with f(0) != 0, or C^m for C in
+    FINITE_COEFFS with Z acting through Z -> C_m, m = 1-3."""
+    if draw(st.booleans()):
+        p, degree = draw(st.sampled_from((2, 3))), draw(st.integers(1, 6))
+        nonzero, entry = st.integers(1, p - 1), st.integers(0, p - 1)
+        module = _principal(p, [draw(nonzero), *(draw(entry) for _ in range(degree - 1)),
+                                draw(nonzero)])
+        stops, point = degree, st.tuples(st.integers(0, degree))
+    else:
+        coeff, m = draw(st.sampled_from(FINITE_COEFFS)), draw(st.integers(1, 3))
+        target = FinAbGroup.of(m)  # C_1 has no coordinates
+        module = ShiftModule(Z, coeff, AbHom.from_rows(Z, target, [[1] * len(target.torsion)]))
+        stops = m * max(coeff.torsion)
+        point = st.tuples(*(st.integers(0, t - 1) for t in target.torsion))
+    coeff = module.coeff
+    coefficient = st.tuples(*(st.integers(0, t - 1) for t in coeff.torsion))
+    elements = [module.element(draw(st.lists(st.tuples(point, coefficient), min_size=1, max_size=2)))
+                for _ in range(draw(st.integers(1, 3)))]
+    p = 3 if coeff.torsion[0] == 3 else 2
+    spec = draw(st.sampled_from((LOG_CARD, tors_log(p))))
+    # tors_log needs the set to meet the p-torsion; 0 always does
+    with_zero = spec.kind == "tors_log" or draw(st.booleans())
+    a = FiniteSubset.of(module, elements + [module.zero()] * with_zero)
+    return module, a, spec, FolnerBoxes(Z, stops + draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(finite_module_tables())
+def test_finite_module_rows_match_rebuilt_orbit_sums(case):
+    # rows after the orbit sum fills the module are read off, not summed;
+    # the slow path rebuilds every row from the whole box
+    module, a, spec, seq = case
+    est = ratio_sequence(module, a, spec, seq)
+    assert est.truncated_at is None and {r.method for r in est.rows} == {"enumerated"}
+    for row in est.rows:
+        assert value_cmp(row.value, _rebuilt(spec, a, seq, row.n)) == 0
 
 
 LATTICE_COEFFS = (FinAbGroup.free(1), FinAbGroup.of(4), FinAbGroup.of(2, 2),
