@@ -37,11 +37,8 @@ from .groupring import (
 from .intmat import smith_normal_form
 from .meanlen import (
     FolnerBoxes,
-    InvarianceParams,
     MeanEstimate,
     addition_report,
-    is_invariant,
-    mean_lower_bound,
     ratio_sequence,
 )
 from .registry import example_names, run_example

@@ -28,17 +28,6 @@ from .intmat import (
 )
 from .subsets import Element
 
-__all__ = [
-    "FinAbGroup",
-    "AbHom",
-    "subgroup_generated",
-    "quotient_group",
-    "hom_kernel",
-    "hom_image",
-    "torsion_k",
-    "direct_sum",
-]
-
 INFINITE = math.inf
 
 
@@ -243,7 +232,9 @@ def _subgroup_from_rows(g: FinAbGroup, rows) -> tuple[FinAbGroup, AbHom]:
 
 
 def subgroup_generated(g: FinAbGroup, elements) -> tuple[FinAbGroup, AbHom]:
-    """Subgroup generated by the given elements, with its inclusion."""
+    """Subgroup generated by the given elements, with its inclusion.  No
+    command calls it; the span finabelian.subgroup_generated and the
+    Smith-form reference of tests/test_echelon_lattice.py keep it."""
     elements = list(elements)
     if not elements:
         raise DomainError("generating set must be nonempty")
@@ -274,12 +265,14 @@ def hom_kernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
 
 
 def hom_image(h: AbHom) -> tuple[FinAbGroup, AbHom]:
-    """Image of h as a presented subgroup of the target."""
+    """Image of h as a presented subgroup of the target.  No command calls
+    it; the span finabelian.hom_image and tests/test_finabelian.py keep it."""
     return _subgroup_from_rows(h.target, [list(r) for r in h.matrix])
 
 
 def torsion_k(g: FinAbGroup, k: int) -> tuple[FinAbGroup, AbHom]:
-    """Subgroup of elements killed by k."""
+    """Subgroup of elements killed by k.  No command calls it; the span
+    finabelian.torsion_k and the reference of tests/test_sampling.py keep it."""
     if k < 1:
         raise DomainError("torsion order must be a positive integer")
     return hom_kernel(AbHom.scalar(g, k))
@@ -311,7 +304,9 @@ def direct_sum_many(groups) -> tuple[FinAbGroup, list[AbHom]]:
 
 
 def intersect_subgroups(g: FinAbGroup, gens_a, gens_b) -> list[Element]:
-    """Generators of the intersection of two finitely generated subgroups."""
+    """Generators of the intersection of two finitely generated subgroups.
+    No command calls it; the span finabelian.intersect_subgroups and the
+    kernel-witness reference of tests/test_bivariant.py keep it."""
     n = g.ambient_dim
     rows_a = [list(e.coords) for e in gens_a] + g.relation_rows()
     rows_b = [list(e.coords) for e in gens_b] + g.relation_rows()

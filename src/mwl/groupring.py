@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
 
 from .errors import ConfigurationError, DomainError
 from .finabelian import (
@@ -31,17 +30,6 @@ from .finabelian import (
 )
 from .laurent import StaircaseBasis, laurent_normal_form, pnorm
 from .subsets import Element, FiniteSubset, minkowski_sum
-
-__all__ = [
-    "ShiftModule",
-    "FiniteSubset",
-    "gr_translate",
-    "minkowski_sum",
-    "orbit_sum",
-    "coeff_quotient",
-    "principal_quotient",
-    "embed_subset",
-]
 
 
 @dataclass(frozen=True)
@@ -222,24 +210,6 @@ class ShiftModule:
             return INFINITE if coeff_card != 1 else 1
         return coeff_card ** support_card
 
-    def elements(self):
-        """Enumerate a finite module."""
-        if self.cardinality() == INFINITE:
-            raise DomainError("cannot enumerate an infinite module")
-        if self.quotient is not None:
-            for residue in self._staircase.enumerate_residues():
-                yield Element(self, self._items(residue))
-            return
-        if self.coeff.cardinality() == 1:
-            yield self.zero()
-            return
-        points = list(iproduct(*[range(t) for t in self.support_group.torsion]))
-        coeffs = [tuple(x.coords) for x in self.coeff.elements()]
-        for assignment in iproduct(coeffs, repeat=len(points)):
-            items = tuple(sorted(
-                (pt, c) for pt, c in zip(points, assignment) if any(c)))
-            yield Element(self, items)
-
 
 def gr_translate(s: Element, a: FiniteSubset) -> FiniteSubset:
     """The translated set {s.x : x in a}; same size as a."""
@@ -312,7 +282,8 @@ def embed_subset(a: FiniteSubset):
     embedding is coefficient-wise over the union of supports.  It is
     injective and additive, so spans, ranks and torsion counts agree with
     the module-side set; in a principal quotient module too, because
-    normal forms add coefficient-wise.
+    normal forms add coefficient-wise.  No command calls it; the span
+    groupring.embed and the reference of tests/test_one_evaluator.py keep it.
     """
     module = a.ambient
     points = sorted({g for x in a.items for g, _ in x})

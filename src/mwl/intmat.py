@@ -219,7 +219,8 @@ def left_kernel(m) -> list[list[int]]:
 
 
 def invert_unimodular(m) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix.  No command calls it; the
+    span intmat.invert_unimodular and tests/test_intmat.py keep it."""
     n = len(m)
     h, t = hermite_form(m)
     if h != identity(n):
@@ -228,7 +229,9 @@ def invert_unimodular(m) -> list[list[int]]:
 
 
 def lattice_intersection(rows_a, rows_b, dim: int) -> list[list[int]]:
-    """Basis of the intersection of the lattices spanned by rows_a, rows_b."""
+    """Basis of the intersection of the lattices spanned by rows_a, rows_b.
+    Only intersect_subgroups calls it; the span intmat.lattice_intersection
+    and tests/test_intmat.py keep it."""
     pa = row_basis(rows_a) if rows_a else []
     pb = row_basis(rows_b) if rows_b else []
     if not pa or not pb:

@@ -225,19 +225,6 @@ class StaircaseBasis:
     def residue_count(self) -> int:
         return self.p ** self.quotient_dim
 
-    def enumerate_residues(self):
-        """All canonical residue vectors of a finite quotient."""
-        p = self.p
-        degs = self._pivot_degrees()
-        from itertools import product as iproduct
-
-        for flat in iproduct(range(p), repeat=sum(degs)):
-            out, start = [], 0
-            for d in degs:
-                out.append(pnorm(flat[start:start + d], p))
-                start += d
-            yield out
-
     def inverse_power(self, m: int):
         """u^m mod f for m >= 1: the polynomial acting as t^-m on a finite
         quotient (f and u as in the module docstring)."""

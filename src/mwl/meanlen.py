@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
 from . import sofic
@@ -51,7 +50,6 @@ from .values import (
     LengthValue,
     MeanRatio,
     ratio_add,
-    ratio_cmp,
     ratio_eq,
     ratio_le,
     ratio_min,
@@ -74,36 +72,6 @@ DEFAULT_N_MAX_BUDGET = 4096  # coefficient_card ** n_max stays near this
 # 4-10 states and 0.8-1.5 s with 800-3134 states; 2000 rows on the small
 # automata already take 0.9-3.3 s, growing about as n_max^3.
 N_MAX_LIMIT = 1000
-
-
-@dataclass(frozen=True)
-class InvarianceParams:
-    k_set: tuple[Element, ...]
-    delta: Fraction
-
-    def __post_init__(self):
-        if not (0 < self.delta <= 1):
-            raise DomainError("delta must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class InvarianceCheck:
-    invariant: bool
-    interior_count: int
-    size: int
-
-
-def is_invariant(folner_set, params: InvarianceParams) -> InvarianceCheck:
-    """Exact (K, delta)-invariance check with the interior count."""
-    members = set(x.coords for x in folner_set)
-    if not members:
-        raise DomainError("invariance is defined for nonempty sets")
-    count = 0
-    for s in folner_set:
-        if all((k + s).coords in members for k in params.k_set):
-            count += 1
-    ok = count >= (1 - params.delta) * len(members)
-    return InvarianceCheck(bool(ok), count, len(members))
 
 
 @dataclass(frozen=True)
@@ -288,6 +256,10 @@ def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
     The rows come from _table_rows.  Where they end at the set cap and
     the product-structure rule applies, the rule's value fills the rows
     from there on (method "certified"); otherwise the table ends there.
+    running_inf, the least finite ratio, bounds the limit from above only
+    where rows are subadditive (Fekete: log_card, rank, nu, gen); tors_log
+    rows need not be, and scenarios/torsion-fibonacci.json has running_inf
+    log 1 but limit log((1 + sqrt 5) / 2).
     """
     if a.ambient != module:
         raise DomainError("witness does not live in the module")
@@ -421,45 +393,6 @@ def _limit_certificate(module, structural, automaton, first_ratio) -> Certificat
     if base is not None:
         return CertificateInfo("sofic", MeanRatio(LengthValue.log_count(base), 1), True)
     return CertificateInfo(None, None, False)
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    estimates: tuple[MeanEstimate, ...]
-    bound: MeanRatio | None
-    best_witness: int | None
-
-    def to_json(self):
-        return {
-            "witnesses": [e.to_json() for e in self.estimates],
-            "bound": None if self.bound is None else self.bound.to_json(),
-            "best_witness": self.best_witness,
-        }
-
-
-def mean_lower_bound(module: ShiftModule, witnesses, spec: WeakLengthSpec,
-                     seq: FolnerBoxes) -> LowerBoundReport:
-    """Best certified witness value; a lower bound for the module mean.
-
-    Only witnesses containing 0 contribute to the bound channel (the
-    mean is a sup over base-pointed sets).  Each witness's estimate
-    carries its running infimum; that is an upper bound for the
-    witness's limit only where rows are subadditive (Fekete), as for
-    log_card, rank, nu and gen.  tors_log rows need not be: under
-    tors_log(2) the witness {0, d0, d1} over C4 has running infimum 0
-    and limit log((1 + sqrt 5) / 2).
-    """
-    estimates = []
-    bound = None
-    best = None
-    for i, w in enumerate(witnesses):
-        est = ratio_sequence(module, w, spec, seq)
-        estimates.append(est)
-        if est.zero_in_a and est.limit.exact and est.limit.ratio is not None:
-            if bound is None or ratio_cmp(est.limit.ratio, bound) > 0:
-                bound = est.limit.ratio
-                best = i
-    return LowerBoundReport(tuple(estimates), bound, best)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .groupring import ShiftModule, coeff_quotient, principal_quotient
 from .meanlen import FolnerBoxes, addition_report, ratio_sequence
 from .subsets import FiniteSubset
 from .values import MeanRatio, ratio_eq, ratio_le
-from .weaklength import LOG_CARD, WeakLengthSpec, tors_log
+from .weaklength import LOG_CARD, tors_log
 
 Z = FinAbGroup.free(1)
 Z2 = FinAbGroup.free(2)
@@ -60,9 +60,9 @@ def _full_coeff_delta(module: ShiftModule) -> FiniteSubset:
         module, [module.delta(c.coords) for c in module.coeff.elements()])
 
 
-def _check_constant(est, expected: MeanRatio, label: str) -> ExampleCheck:
-    ok = est.constant_exact and ratio_eq(est.rows[0].ratio, expected)
-    return ExampleCheck(label, ok, str(est.rows[0].ratio), str(expected))
+def _check_limit(est, expected: MeanRatio, label: str) -> ExampleCheck:
+    ok = est.limit.exact and ratio_eq(est.limit.ratio, expected)
+    return ExampleCheck(label, ok, str(est.limit.ratio), str(expected))
 
 
 def _example_full_shifts(n_max: int) -> ExampleReport:
@@ -73,7 +73,7 @@ def _example_full_shifts(n_max: int) -> ExampleReport:
         module = ShiftModule(Z, FinAbGroup.of(p))
         est = ratio_sequence(module, _full_coeff_delta(module), LOG_CARD, seq)
         reports[f"mod_{p}"] = est.to_json()
-        checks.append(_check_constant(
+        checks.append(_check_limit(
             est, MeanRatio.log_ratio(p, 1), f"full {p}-shift has mean log {p}"))
         counts_ok = all(r.value.count == p ** r.n for r in est.rows)
         checks.append(ExampleCheck(
@@ -106,15 +106,16 @@ def _example_single_generator(n_max: int) -> ExampleReport:
         checks, {"estimate": est.to_json()})
 
 
-def _example_scalar_range(n_max: int, k: int = 5) -> ExampleReport:
+def _example_scalar_range(n_max: int) -> ExampleReport:
+    k = 5
     module = ShiftModule(Z, FinAbGroup.free(1))
     seq = FolnerBoxes(Z, n_max)
     witness = FiniteSubset.of(
         module, [module.element([((0,), (j,))]) for j in range(k)])
     est = ratio_sequence(module, witness, LOG_CARD, seq)
     checks = (
-        _check_constant(est, MeanRatio.log_ratio(k, 1),
-                        f"scalar range of size {k} has mean log {k}"),
+        _check_limit(est, MeanRatio.log_ratio(k, 1),
+                     f"scalar range of size {k} has mean log {k}"),
         ExampleCheck(f"counts are {k}^n",
                      all(r.value.count == k ** r.n for r in est.rows),
                      str([r.value.count for r in est.rows]),
@@ -134,10 +135,10 @@ def _example_torsion_nonadditive(n_max: int) -> ExampleReport:
     z4 = ShiftModule(Z, FinAbGroup.of(4))
     est_z4 = ratio_sequence(z4, _full_coeff_delta(z4), spec, seq)
     checks = (
-        _check_constant(est_square, MeanRatio.log_ratio(4, 1),
-                        "squared mod-2 shift: torsion mean 2 log 2"),
-        _check_constant(est_z4, MeanRatio.log_ratio(2, 1),
-                        "mod-4 shift: torsion mean log 2"),
+        _check_limit(est_square, MeanRatio.log_ratio(4, 1),
+                     "squared mod-2 shift: torsion mean 2 log 2"),
+        _check_limit(est_z4, MeanRatio.log_ratio(2, 1),
+                     "mod-4 shift: torsion mean log 2"),
         ExampleCheck("torsion counts 4^n vs 2^n",
                      all(r.value.count == 4 ** r.n for r in est_square.rows)
                      and all(r.value.count == 2 ** r.n for r in est_z4.rows),
@@ -150,7 +151,8 @@ def _example_torsion_nonadditive(n_max: int) -> ExampleReport:
         checks, {"square": est_square.to_json(), "mod4": est_z4.to_json()})
 
 
-def _example_scalar_range_bound(n_max: int, scalar_count: int = 16) -> ExampleReport:
+def _example_scalar_range_bound(n_max: int) -> ExampleReport:
+    scalar_count = 16
     module = ShiftModule(Z, FinAbGroup.free(1))
     seq = FolnerBoxes(Z, n_max)
     f = module.element([((0,), (1,)), ((1,), (1,))])  # support K = {0, 1}

@@ -15,13 +15,7 @@ from mwl.bivariant import COVER_LOG, check_upgrading_proper, cover_bivariant
 from mwl.cli import run
 from mwl.finabelian import AbHom, FinAbGroup, quotient_group
 from mwl.groupring import ShiftModule, coeff_quotient, principal_quotient
-from mwl.meanlen import (
-    FolnerBoxes,
-    InvarianceParams,
-    addition_report,
-    is_invariant,
-    ratio_sequence,
-)
+from mwl.meanlen import FolnerBoxes, addition_report, ratio_sequence
 from mwl.subsets import FiniteSubset, map_subset
 from mwl.values import MeanRatio, ratio_eq, ratio_le, value_add, value_le
 from mwl.weaklength import GEN, LOG_CARD, NU, RANK, check_axiom, tors_log
@@ -245,11 +239,16 @@ def test_criterion_12_folner_and_fekete_certificates():
                     if n + m in values:
                         assert value_le(values[n + m], value_add(values[n], values[m]))
 
+        # interior points s of F_10 with K + s inside F_10: (K, delta)-invariant
+        # for delta = 1/10, not for 1/20, and every point is interior for K = {0}
+        box = seq.box(10)
+        members = {s.coords for s in box}
+
+        def interior(k):
+            return sum(all((t + s).coords in members for t in k) for s in box)
+
         k = (Z.element([0]), Z.element([1]))
-        interval = [Z.element([i]) for i in range(10)]
-        c1 = is_invariant(interval, InvarianceParams(k, Fraction(1, 10)))
-        assert c1.invariant and c1.interior_count == 9
-        c2 = is_invariant(interval, InvarianceParams(k, Fraction(1, 20)))
-        assert not c2.invariant and c2.interior_count == 9
-        c3 = is_invariant(interval, InvarianceParams((Z.element([0]),), Fraction(1, 2)))
-        assert c3.invariant and c3.interior_count == 10
+        assert len(box) == 10 and interior(k) == 9
+        assert interior(k) >= (1 - Fraction(1, 10)) * len(box)
+        assert interior(k) < (1 - Fraction(1, 20)) * len(box)
+        assert interior(k[:1]) == 10

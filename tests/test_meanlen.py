@@ -1,39 +1,24 @@
-from fractions import Fraction
+from dataclasses import replace
 
 import pytest
 
+from mwl import registry
 from mwl.errors import DomainError
 from mwl.finabelian import FinAbGroup
 from mwl.groupring import ShiftModule, coeff_quotient
 from mwl.meanlen import (
+    CertificateInfo,
     FolnerBoxes,
-    InvarianceParams,
     addition_report,
     eval_module_subset,
-    is_invariant,
-    mean_lower_bound,
     ratio_sequence,
 )
 from mwl.registry import example_names, run_example
 from mwl.subsets import FiniteSubset
-from mwl.values import MeanRatio, ratio_eq, ratio_le
+from mwl.values import MeanRatio, ratio_eq
 from mwl.weaklength import LOG_CARD, NU, RANK, tors_log
 
 Z = FinAbGroup.free(1)
-
-
-def interval(n):
-    return [Z.element([i]) for i in range(n)]
-
-
-def test_is_invariant_worked_counts():
-    k = (Z.element([0]), Z.element([1]))
-    check = is_invariant(interval(10), InvarianceParams(k, Fraction(1, 10)))
-    assert check.invariant and check.interior_count == 9
-    check2 = is_invariant(interval(10), InvarianceParams(k, Fraction(1, 20)))
-    assert not check2.invariant and check2.interior_count == 9
-    check3 = is_invariant(interval(10), InvarianceParams((Z.element([0]),), Fraction(1, 100)))
-    assert check3.invariant and check3.interior_count == 10
 
 
 def test_boxes_cover_finite_part():
@@ -169,30 +154,25 @@ def test_torsion_mean_of_prime_square_modulus():
     assert est.limit.exact
 
 
-def test_mean_lower_bound_product_module():
-    seq = FolnerBoxes(Z, 8)
+def test_certified_limit_full_delta_over_c2xc2():
     m = ShiftModule(Z, FinAbGroup.of(2, 2))
     witness = FiniteSubset.of(m, [m.delta(c.coords) for c in m.coeff.elements()])
-    report = mean_lower_bound(m, [witness], LOG_CARD, seq)
-    assert report.bound is not None
-    assert ratio_eq(report.bound, MeanRatio.log_ratio(4, 1))
+    limit = ratio_sequence(m, witness, LOG_CARD, FolnerBoxes(Z, 8)).limit
+    assert limit.exact and ratio_eq(limit.ratio, MeanRatio.log_ratio(4, 1))
 
 
-def test_mean_lower_bound_trivial_module():
+def test_certified_limit_trivial_module():
     m = ShiftModule(Z, FinAbGroup())
-    report = mean_lower_bound(m, [FiniteSubset.of(m, [m.zero()])], LOG_CARD,
-                              FolnerBoxes(Z, 6))
-    assert report.bound is not None and report.bound.is_zero()
+    witness = FiniteSubset.of(m, [m.zero()])
+    limit = ratio_sequence(m, witness, LOG_CARD, FolnerBoxes(Z, 6)).limit
+    assert limit.exact and limit.ratio.is_zero()
 
 
-def test_mean_lower_bound_ignores_uncertified_witness():
-    seq = FolnerBoxes(Z, 6)
+def test_certified_limit_zero_and_delta_over_z():
     m = ShiftModule(Z, FinAbGroup.free(1))
-    no_zero = FiniteSubset.of(m, [m.delta([1])])
-    good = FiniteSubset.of(m, [m.zero(), m.delta([1])])
-    report = mean_lower_bound(m, [no_zero, good], LOG_CARD, seq)
-    assert report.best_witness == 1
-    assert ratio_eq(report.bound, MeanRatio.log_ratio(2, 1))
+    witness = FiniteSubset.of(m, [m.zero(), m.delta([1])])
+    limit = ratio_sequence(m, witness, LOG_CARD, FolnerBoxes(Z, 6)).limit
+    assert limit.exact and ratio_eq(limit.ratio, MeanRatio.log_ratio(2, 1))
 
 
 def test_addition_report_coeff_quotient():
@@ -267,3 +247,14 @@ def test_registry_examples_pass(name):
 def test_registry_unknown_name():
     with pytest.raises(DomainError):
         run_example("no-such-example")
+
+
+def test_registry_limit_check_needs_a_certificate():
+    # constant rows are prefix evidence; without a certificate the check fails
+    m = ShiftModule(Z, FinAbGroup.of(2))
+    witness = FiniteSubset.of(m, [m.zero(), m.delta([1])])
+    est = ratio_sequence(m, witness, LOG_CARD, FolnerBoxes(Z, 6))
+    expected = MeanRatio.log_ratio(2, 1)
+    assert est.constant_exact and registry._check_limit(est, expected, "x").ok
+    uncertified = replace(est, limit=CertificateInfo(None, None, False))
+    assert not registry._check_limit(uncertified, expected, "x").ok
