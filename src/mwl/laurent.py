@@ -10,13 +10,17 @@ complement of the submodule, so the normal-form map is F_p-linear: a
 coefficient-wise sum, negative or multiple of normal forms is again a
 normal form, and only multiplication by t can leave the complement.
 
-Submodules of the Laurent module are handled by t-normalizing the
-generators into F_p[t]^k and then t-saturating the polynomial module
-(dividing out combinations that vanish mod t) so that polynomial
-membership agrees with Laurent membership.  Those combinations come from
-the integer left kernel of the rows' constant terms stacked over p*I
-(intmat.left_kernel), read mod p; the saturated module does not depend
-on which kernel basis is used, so neither do the normal forms.  When the
+A vector joins the basis by Euclid on pivot components: the row at its
+pivot position keeps the lower pivot degree, and the other vector is
+reduced by it and inserted again.  Submodules of the Laurent module are
+handled by t-normalizing the generators into F_p[t]^k and then
+t-saturating the polynomial module (dividing out combinations that
+vanish mod t) so that polynomial membership agrees with Laurent
+membership; both divide by the whole power of t in one helper,
+_tnormalize.  The combinations come from the integer left kernel of the
+rows' constant terms stacked over p*I (intmat.left_kernel), read mod p.
+Normal forms, pivot polynomials and quotient sizes depend only on the
+submodule, not on the basis or kernel basis reached.  When the
 quotient is finite, the staircase is a square upper triangular matrix B,
 and its determinant f, the product of the pivot polynomials, kills every
 class (adj(B) B = f I).  f is also the characteristic polynomial of t on
@@ -91,28 +95,6 @@ def pdivmod(a, b, p):
     return pnorm(quo, p), pnorm(rem, p)
 
 
-def pmonic(a, p):
-    if not a:
-        return a
-    return pscale(a, pow(a[-1], p - 2, p), p)
-
-
-def pxgcd(a, b, p):
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, padd(s0, pscale(pmul(q, s1, p), -1, p), p)
-        t0, t1 = t1, padd(t0, pscale(pmul(q, t1, p), -1, p), p)
-    if not r0:
-        return (), (), ()
-    c = pow(r0[-1], p - 2, p)
-    return pmonic(r0, p), pscale(s0, c, p), pscale(t0, c, p)
-
-
 class StaircaseBasis:
     """Echelon basis of a t-saturated submodule of F_p[t]^k."""
 
@@ -148,22 +130,18 @@ class StaircaseBasis:
             pos = self._pivot(vec)
             if pos is None:
                 return
-            holder = next((r for r in self.rows if self._pivot(r) == pos), None)
-            if holder is None:
-                lead = vec[pos]
-                inv = pow(lead[-1], p - 2, p)
-                self.rows.append([pscale(c, inv, p) for c in vec])
+            inv = pow(vec[pos][-1], p - 2, p)
+            vec = [pscale(c, inv, p) for c in vec]
+            at = next((i for i, r in enumerate(self.rows) if self._pivot(r) == pos), None)
+            if at is None:
+                self.rows.append(vec)
                 self.rows.sort(key=self._pivot)
                 return
-            g, s, t = pxgcd(holder[pos], vec[pos], p)
-            combo = [padd(pmul(s, holder[i], p), pmul(t, vec[i], p), p)
-                     for i in range(self.k)]
-            qa, _ = pdivmod(vec[pos], g, p)
-            qb, _ = pdivmod(holder[pos], g, p)
-            residual = [padd(pmul(qb, vec[i], p), pscale(pmul(qa, holder[i], p), -1, p), p)
-                        for i in range(self.k)]
-            holder[:] = combo
-            vec = residual
+            if pdeg(vec[pos]) < pdeg(self.rows[at][pos]):
+                self.rows[at], vec = vec, self.rows[at]
+            row = self.rows[at]
+            q, _ = pdivmod(vec[pos], row[pos], p)
+            vec = [padd(vec[i], pscale(pmul(q, row[i], p), -1, p), p) for i in range(self.k)]
 
     def _saturate(self):
         p = self.p
@@ -180,11 +158,9 @@ class StaircaseBasis:
                     if coeff:
                         combo = [padd(combo[i], pscale(row[i], coeff, p), p)
                                  for i in range(self.k)]
-                if all(not c for c in combo):
-                    continue
-                dropped = [c[1:] if c else c for c in combo]  # divide by t
-                if not self.member(dropped):
-                    self._insert([pnorm(c, p) for c in dropped])
+                combo = self._tnormalize(combo)  # divide by its whole power of t
+                if not self.member(combo):  # the zero combination is a member
+                    self._insert(combo)
                     added = True
                     break
             if not added:

@@ -29,8 +29,8 @@ so a disagreement raises instead of misreporting.  Sofic rows (counted)
 and rank, nu and gen rows (one carried lattice) are never truncated.  An
 orbit sum that would overflow the subset cap truncates the table and
 marks it, unless the product-structure rule covers the missing rows.
-An orbit sum that is the whole finite module M ends the summing: every
-later row's set is M again, since M + B = M for any nonempty B in M.
+An orbit sum that is the whole finite module M, or that equals the one
+before it, ends the summing (see _table_rows).
 """
 
 from __future__ import annotations
@@ -272,9 +272,10 @@ def ratio_sequence(module: ShiftModule, a: FiniteSubset, spec: WeakLengthSpec,
     for n in range(1, seq.n_max + 1):
         size = seq.size(n)
         expected = None if structural is None else _scaled_value(structural, size)
-        if (automaton is None and spec.kind == "log_card" and expected is not None
-                and expected.count > SET_CAP):
-            # the rule counts |A^[F_n]| exactly, so its orbit sum would pass the cap
+        if (automaton is None and spec.kind in ("log_card", "tors_log")
+                and expected is not None and len(a.items) ** size > SET_CAP):
+            # translates are independent, so |A^[F_n]| = |A|^|F_n|: its
+            # orbit sum would pass the cap
             computed = iter(())
         # past the last computed row only the structural value goes on
         value, method = next(computed, (expected, "certified"))
@@ -326,9 +327,16 @@ def _table_rows(a: FiniteSubset, spec: WeakLengthSpec, seq: FolnerBoxes):
     A), A^[F] = a0^[F] + (A - a0)^[F], so <A^[F]> is spanned by the point
     a0^[F] and the translates of A - a0, which holds 0.  Other log_card and
     tors_log rows carry the orbit sum, and end at the first one past
-    SET_CAP.  Once the orbit sum is the whole module M (finite), no more
-    are built: A^[F_n] = A^[F_(n-1)] + B with B nonempty, and M + B = M,
-    so every later row is the value of M.
+    SET_CAP.  No more orbit sums are built once A^[F_n] = A^[F_(n-1)] + B
+    (B the shell sum) is the whole finite module M, since M + B' = M for
+    every later shell sum B', or once A^[F_n] = A^[F_(n-1)] where 0 is in
+    A or the acting group has free rank <= 1.  Then H = Stab(A^[F_(n-1)])
+    is invariant under the acting group, and every later shell sum lies in
+    H, so every later set is the same.  With 0 in A, A^[F_(n-1)] is
+    invariant, as e + F_(n-1) lies in F_n for each generator e, and every
+    later g.A is a translate of some s.A in B, which lies in H.  With free
+    rank 1 the shell sums are t^(n-1) C with C = A^[F_1], and A^[F_(n-1)]
+    = C + t A^[F_(n-1)] gives tH = H.
     """
     automaton = sofic.subset_automaton(a, spec) if sofic.applies(a.ambient, spec) else None
     return automaton, _rows(a, spec, seq, automaton)
@@ -352,14 +360,16 @@ def _rows(a, spec, seq, automaton):  # the generator behind _table_rows
                 span_insert(row, a.ambient, point.items)
             yield span_length(spec, row), "enumerated"
     else:
-        orbit, whole = None, a.ambient.cardinality()  # A^[F_(n-1)], |M|
+        orbit, whole, settled = None, a.ambient.cardinality(), False  # A^[F_(n-1)], |M|
+        steady = a.contains_zero() or seq.group.free_rank <= 1  # equal sets stay equal
         for n in range(1, seq.n_max + 1):
-            if orbit is None or len(orbit) != whole:  # else M + B = M: the set stays M
+            if not settled:
                 try:
-                    orbit = orbit_sum(a, seq.shell(n), orbit)
+                    grown = orbit_sum(a, seq.shell(n), orbit)
                 except SetSizeLimitError:
                     return
-                value = eval_module_subset(spec, orbit)
+                settled = len(grown) == whole or (steady and grown == orbit)
+                orbit, value = grown, eval_module_subset(spec, grown)
             yield value, "enumerated"
 
 

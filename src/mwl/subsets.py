@@ -30,8 +30,7 @@ SET_CAP = 10**6
 class Element:
     """An element of a group or shift module, kept as its canonical item.
 
-    Arithmetic calls the ambient's item protocol; `translate` needs a
-    shift module ambient, whose action_shift and _translate_item move it.
+    Arithmetic calls the ambient's item protocol.
     """
 
     ambient: object
@@ -53,11 +52,6 @@ class Element:
 
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def translate(self, s: "Element") -> "Element":
-        """The shift s.x of a module element by an acting group element."""
-        shift = self.ambient.action_shift(s)
-        return Element(self.ambient, self.ambient._translate_item(shift, self.coords))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 from mwl import subsets
 from mwl.errors import DomainError, SetSizeLimitError
 from mwl.finabelian import AbHom, FinAbGroup
-from mwl.groupring import ShiftModule
+from mwl.groupring import ShiftModule, gr_translate
 from mwl.subsets import FiniteSubset, minkowski_sum, union
 
 C4 = FinAbGroup.of(4)
@@ -59,7 +59,7 @@ def test_action_shift_rejects_an_element_outside_the_acting_group():
     with pytest.raises(DomainError):
         M2.action_shift(C4.element([1]))
     with pytest.raises(DomainError):
-        M2.delta([1]).translate(Z2.element([0, 1]))
+        gr_translate(Z2.element([0, 1]), FiniteSubset.of(M2, [M2.delta([1])]))
 
 
 @pytest.mark.parametrize("x, y", [

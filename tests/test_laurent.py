@@ -168,7 +168,9 @@ def _staircase_view(s, vectors):
 def test_staircase_does_not_depend_on_generator_order(data):
     # Saturation picks F_p-combinations of the rows from an integer left
     # kernel; the saturated module, and so everything read from it, must
-    # not depend on the order or redundancy of the generators.
+    # not depend on the order or redundancy of the generators.  The last
+    # variant replaces g_m by t^e_m g_m + g_(m-1): the same Laurent module,
+    # whose polynomial span lacks g_m until saturation divides t^e_m out.
     from mwl.laurent import padd
 
     p = data.draw(st.sampled_from([2, 3, 5]))
@@ -176,8 +178,12 @@ def test_staircase_does_not_depend_on_generator_order(data):
     n = data.draw(st.integers(1, 4))
     gens = [[_poly(data, p, 4) for _ in range(k)] for _ in range(n)]
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    shifts = [(0,) * data.draw(st.integers(0, 4)) for _ in gens]
+    shifted = [[zeros + c if c else c for c in g] for zeros, g in zip(shifts, gens)]
     variants = [data.draw(st.permutations(gens)),
-                gens + [[padd(x, y, p) for x, y in zip(gens[i], gens[j])]]]
+                gens + [[padd(x, y, p) for x, y in zip(gens[i], gens[j])]],
+                shifted[:1] + [[padd(x, y, p) for x, y in zip(g, prev)]
+                               for g, prev in zip(shifted[1:], gens)]]
     vectors = [[_poly(data, p, 6) for _ in range(k)] for _ in range(3)]
     view = _staircase_view(StaircaseBasis(p, k, gens), vectors)
     for other in variants:

@@ -205,10 +205,8 @@ def test_principal_quotient_table_matches_rebuilt_orbit_sums(low_cap):
             _check_table(quot, a, spec, FolnerBoxes(Z, 8))
 
 
-def test_orbit_sums_stop_at_the_whole_module(monkeypatch):
-    # F_2[t^+-1] / (1 + t^3 + t^10) has 1024 elements, and {0, d0}^[F_n]
-    # holds the 2^n polynomials of degree < n: from n = 10 on it is the
-    # whole module, so rows 11-20 are read off without an orbit sum
+def _count_orbit_sums(monkeypatch):
+    """The argument tuples of every meanlen.orbit_sum call from now on."""
     calls = []
     real = meanlen.orbit_sum
 
@@ -217,6 +215,14 @@ def test_orbit_sums_stop_at_the_whole_module(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(meanlen, "orbit_sum", counted)
+    return calls
+
+
+def test_orbit_sums_stop_at_the_whole_module(monkeypatch):
+    # F_2[t^+-1] / (1 + t^3 + t^10) has 1024 elements, and {0, d0}^[F_n]
+    # holds the 2^n polynomials of degree < n: from n = 10 on it is the
+    # whole module, so rows 11-20 are read off without an orbit sum
+    calls = _count_orbit_sums(monkeypatch)
     quot = _principal(2, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
     a = FiniteSubset.of(quot, [quot.zero(), quot.delta([1])])
     est = ratio_sequence(quot, a, LOG_CARD, FolnerBoxes(Z, 20))
@@ -225,15 +231,29 @@ def test_orbit_sums_stop_at_the_whole_module(monkeypatch):
     assert est.limit.kind == "finite-module"
 
 
+def test_orbit_sums_stop_once_they_stop_growing(monkeypatch):
+    # M = F_2[t^+-1] / ((1 + t)(1 + t^3 + t^16)) has 2^17 elements, and
+    # {0, 1 + t}^[F_n] fills the submodule (1 + t)M of 2^16 elements at
+    # n = 16: the 17th orbit sum equals the 16th, and no more are built
+    calls = _count_orbit_sums(monkeypatch)
+    quot = _principal(2, [1, 1, 0, 1, 1] + [0] * 11 + [1, 1])
+    a = FiniteSubset.of(quot, [quot.zero(), quot.element([((0,), (1,)), ((1,), (1,))])])
+    est = ratio_sequence(quot, a, LOG_CARD, FolnerBoxes(Z, 40))
+    assert len(calls) == 17
+    assert [r.value.count for r in est.rows] == [min(2 ** n, 2 ** 16) for n in range(1, 41)]
+    assert {r.method for r in est.rows} == {"enumerated"}
+
+
 @st.composite
 def finite_module_tables(draw):
-    """A finite module acted on by Z, a witness of 1-3 elements with or
-    without 0, log_card or tors_log(p), and n_max past the row where the
-    orbit sums of {0, d0} stop growing.  The module is F_p[t^+-1] / (f)
-    for p = 2 or 3 and f of degree 1-6 with f(0) != 0, or C^m for C in
-    FINITE_COEFFS with Z acting through Z -> C_m, m = 1-3."""
-    if draw(st.booleans()):
-        p, degree = draw(st.sampled_from((2, 3))), draw(st.integers(1, 6))
+    """A finite module, a witness of 1-3 elements with or without 0,
+    log_card or tors_log(p), and n_max past the row where the orbit sums
+    of {0, d0} stop growing.  The module is F_p[t^+-1] / (f) for p = 2 or
+    3 and f of degree 1-6 with f(0) != 0, acted on by Z, or C^m for C in
+    FINITE_COEFFS with Z or Z^2 acting through a map onto C_m, m = 1-3."""
+    acting = draw(st.sampled_from(("principal", Z, FinAbGroup.free(2))))
+    if acting == "principal":
+        acting, p, degree = Z, draw(st.sampled_from((2, 3))), draw(st.integers(1, 6))
         nonzero, entry = st.integers(1, p - 1), st.integers(0, p - 1)
         module = _principal(p, [draw(nonzero), *(draw(entry) for _ in range(degree - 1)),
                                 draw(nonzero)])
@@ -241,7 +261,9 @@ def finite_module_tables(draw):
     else:
         coeff, m = draw(st.sampled_from(FINITE_COEFFS)), draw(st.integers(1, 3))
         target = FinAbGroup.of(m)  # C_1 has no coordinates
-        module = ShiftModule(Z, coeff, AbHom.from_rows(Z, target, [[1] * len(target.torsion)]))
+        images = [1] + [draw(st.integers(0, m - 1)) for _ in range(acting.free_rank - 1)]
+        module = ShiftModule(acting, coeff, AbHom.from_rows(
+            acting, target, [[x] * len(target.torsion) for x in images]))
         stops = m * max(coeff.torsion)
         point = st.tuples(*(st.integers(0, t - 1) for t in target.torsion))
     coeff = module.coeff
@@ -253,7 +275,7 @@ def finite_module_tables(draw):
     # tors_log needs the set to meet the p-torsion; 0 always does
     with_zero = spec.kind == "tors_log" or draw(st.booleans())
     a = FiniteSubset.of(module, elements + [module.zero()] * with_zero)
-    return module, a, spec, FolnerBoxes(Z, stops + draw(st.integers(1, 3)))
+    return module, a, spec, FolnerBoxes(acting, stops + draw(st.integers(1, 3)))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -565,13 +587,15 @@ def test_no_enumeration_after_certified_count_passes_cap(low_cap, monkeypatch):
     assert est.truncated_at is None
 
 
-def test_no_orbit_sum_for_a_row_the_rule_counts_past_cap(monkeypatch):
-    # under product structure |A^[F_n]| is the rule's count, so the first
-    # row whose count passes the cap is certified without an orbit sum
+@pytest.mark.parametrize("spec", [LOG_CARD, tors_log(2)], ids=["log_card", "tors_log"])
+def test_no_orbit_sum_for_a_row_the_rule_counts_past_cap(monkeypatch, spec):
+    # under product structure translates are independent, so |A^[F_n]| =
+    # |A|^|F_n| and the first row whose set passes the cap is certified
+    # without an orbit sum
     def table(m, a, n_max):
         with monkeypatch.context() as mp:
             calls = _spy_on_minkowski(mp)
-            return ratio_sequence(m, a, LOG_CARD, FolnerBoxes(m.group, n_max)), calls
+            return ratio_sequence(m, a, spec, FolnerBoxes(m.group, n_max)), calls
 
     z = ShiftModule(Z, FinAbGroup.free(1))
     z2 = ShiftModule(FinAbGroup.free(2), FinAbGroup.of(2))
