@@ -360,7 +360,7 @@ def _rows(a, spec, seq, automaton):  # the generator behind _table_rows
                 span_insert(row, a.ambient, point.items)
             yield span_length(spec, row), "enumerated"
     else:
-        orbit, whole, settled = None, a.ambient.cardinality(), False  # A^[F_(n-1)], |M|
+        orbit, whole, settled = None, a.ambient.cardinality(), False  # A^[F_(n-1)], |M|, done
         steady = a.contains_zero() or seq.group.free_rank <= 1  # equal sets stay equal
         for n in range(1, seq.n_max + 1):
             if not settled:
