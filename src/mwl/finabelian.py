@@ -18,11 +18,11 @@ from operator import add, mod, neg
 
 from .errors import DomainError
 from .intmat import (
+    EchelonLattice,
     identity,
     lattice_intersection,
     left_kernel,
     matmul,
-    row_basis,
     smith_normal_form,
     solve_left,
 )
@@ -206,14 +206,14 @@ def presentation_from_relations(ambient_dim, relation_rows):
     return group, proj, section
 
 
-def present_subgroup(rows, relations) -> tuple[FinAbGroup, list[list[int]], list[list[int]]]:
-    """Present (rowspan(rows) + R)/R, R the span of the relation rows.
+def present_subgroup(lattice: EchelonLattice) -> tuple[FinAbGroup, list[list[int]], list[list[int]]]:
+    """Present the subgroup (L + R)/R that an echelon lattice holds.
 
-    Returns (group, basis, section): basis is the Hermite basis of
-    rowspan(rows) + R, and section writes each canonical generator of the
-    group in that basis.
+    Returns (group, basis, section): basis is the lattice's Hermite basis
+    of L + R, dense over its sorted columns, and section writes each
+    canonical generator of the group in that basis.
     """
-    basis = row_basis([list(r) for r in rows] + relations)
+    basis, relations = lattice.dense()
     rel_in_basis = []
     for rel in relations:
         coeffs = solve_left(basis, rel)
@@ -225,8 +225,14 @@ def present_subgroup(rows, relations) -> tuple[FinAbGroup, list[list[int]], list
 
 
 def _subgroup_from_rows(g: FinAbGroup, rows) -> tuple[FinAbGroup, AbHom]:
-    """Present (rowspan(rows) + relations)/relations as a subgroup of g."""
-    sub, basis, section = present_subgroup(rows, g.relation_rows())
+    """Present (rowspan(rows) + relations)/relations as a subgroup of g, on
+    a lattice whose columns are g's coordinates modulo g's torsion orders."""
+    lattice = EchelonLattice()
+    for j, t in enumerate(g.torsion + (0,) * g.free_rank):
+        lattice.column(j, t)
+    for row in rows:
+        lattice.insert({j: e for j, e in enumerate(row) if e})
+    sub, basis, section = present_subgroup(lattice)
     incl_rows = matmul(section, basis)
     return sub, AbHom.from_rows(sub, g, [g.reduce(r) for r in incl_rows])
 

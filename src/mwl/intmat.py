@@ -5,11 +5,14 @@ any magnitude.  Matrices are row-major lists and lattices are spanned by
 rows; a "transform" is always a unimodular matrix acting on the left or
 right.  The Smith form returns its right transform v with v's inverse
 (what a presentation needs to lift generators back) and no left
-transform.  left_kernel is the one kernel routine: kernels of group
-homomorphisms, of F_p matrices (stacked over p*I) and of the sofic
-transfer systems all come from it.  EchelonLattice grows one echelon
-basis vector by vector, with no transform: its rank and index give
-`rank` and `nu`, and its dense rows the presentation that gives `gen`.
+transform.  EchelonLattice is the one Hermite elimination: it grows an
+echelon basis vector by vector, its rank and index give `rank` and
+`nu`, and its dense rows are the Hermite basis of its lattice.  Every
+Hermite form, kernel and subgroup presentation reads such a basis:
+row_basis is the basis over free columns, hermite_form splits the basis
+of [m | I] into [h | t], and left_kernel, the one kernel routine
+(kernels of group homomorphisms, of F_p matrices stacked over p*I and
+of the sofic transfer systems), keeps the t rows whose h row is zero.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ def matmul(a, b) -> list[list[int]]:
     cols = len(b[0]) if b else 0
     return [[sum(row[k] * b[k][j] for k in range(len(row))) for j in range(cols)]
             for row in a]
-
-
-def mat_copy(m) -> list[list[int]]:
-    return [list(row) for row in m]
 
 
 def _swap_rows(m, i, j):
@@ -64,7 +63,7 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = mat_copy(m)
+    a = [list(row) for row in m]
     v = identity(cols)
     v_inv = identity(cols)
 
@@ -140,53 +139,25 @@ def hermite_form(m) -> tuple[list[list[int]], list[list[int]]]:
     """Row echelon form over the integers with transform: h = t @ m.
 
     Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), and t is unimodular.  Zero rows sink to the bottom.
+    [0, pivot), and t is unimodular.  Zero rows sink to the bottom.  The
+    rows of [m | I] are a basis of their lattice, so its Hermite basis
+    (row_basis) has one row per row of m and splits as [h | t].
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = mat_copy(m)
-    t = identity(rows)
-    r = 0
-    for j in range(cols):
-        # Euclid on column j among rows >= r.
-        while True:
-            nz = [i for i in range(r, rows) if a[i][j] != 0]
-            if not nz:
-                break
-            pi = min(nz, key=lambda i: abs(a[i][j]))
-            if pi != r:
-                _swap_rows(a, r, pi)
-                _swap_rows(t, r, pi)
-            done = True
-            for i in range(r + 1, rows):
-                if a[i][j] == 0:
-                    continue
-                q = a[i][j] // a[r][j]
-                _add_row(a, i, r, -q)
-                _add_row(t, i, r, -q)
-                if a[i][j] != 0:
-                    done = False
-            if done:
-                break
-        if r < rows and a[r][j] != 0:
-            if a[r][j] < 0:
-                _add_row(a, r, r, -2)
-                _add_row(t, r, r, -2)
-            for i in range(r):
-                q = a[i][j] // a[r][j]
-                if q:
-                    _add_row(a, i, r, -q)
-                    _add_row(t, i, r, -q)
-            r += 1
-            if r == rows:
-                break
-    return a, t
+    cols = len(m[0]) if m else 0
+    basis = row_basis([list(row) + [int(i == k) for k in range(len(m))]
+                       for i, row in enumerate(m)])
+    return [row[:cols] for row in basis], [row[cols:] for row in basis]
 
 
 def row_basis(rows) -> list[list[int]]:
-    """Basis of the lattice spanned by the given rows."""
-    h, _ = hermite_form(rows)
-    return [row for row in h if any(row)]
+    """Hermite basis of the lattice spanned by the given rows: the dense
+    basis of an EchelonLattice over free columns."""
+    lattice = EchelonLattice()
+    for j in range(len(rows[0]) if rows else 0):
+        lattice.column(j, 0)
+    for row in rows:
+        lattice.insert({j: e for j, e in enumerate(row) if e})
+    return lattice.dense()[0]
 
 
 def solve_left(basis, target) -> list[int] | None:
@@ -311,8 +282,11 @@ class EchelonLattice:
         return out
 
     def dense(self) -> tuple[list[list[int]], list[list[int]]]:
-        """The basis rows of L + R and the relations t*e_c of R as dense
-        rows over the sorted columns."""
+        """The Hermite basis of L + R and the relations t*e_c of R as dense
+        rows over the sorted columns.  Each row is installed again first:
+        no row is reduced above a pivot that enters or shrinks after it."""
+        for c in sorted(self._rows):
+            self._install(c, self._rows[c])
         columns = sorted(self._moduli)
         rows = [[row.get(k, 0) for k in columns] for _, row in sorted(self._rows.items())]
         relations = [[self._moduli[k] if k == c else 0 for k in columns]
@@ -354,8 +328,13 @@ class EchelonLattice:
 
     def insert(self, vec) -> None:
         """Add the vector {column: entry} (columns added beforehand) to L."""
-        v = self._combine(vec, 1, {}, 0)
         rows, moduli = self._rows, self._moduli
+        v = {}
+        for k, x in vec.items():
+            if moduli[k]:
+                x %= moduli[k]
+            if x:
+                v[k] = x
         while v:
             c = min(v)
             a = v[c]

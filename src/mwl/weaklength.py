@@ -94,11 +94,11 @@ def span_length(spec: WeakLengthSpec, lattice: EchelonLattice) -> LengthValue:
     nu is the composition length, the number of prime factors of the
     subgroup's order, which is the sum of the elementary-divisor
     exponents; +inf when the subgroup has a free part.  gen is the number
-    of invariant factors, read off the presentation of the lattice's
-    basis rows subject to the relations of its torsion columns.
+    of invariant factors of the lattice's presentation (present_subgroup:
+    its Hermite basis subject to the relations of its torsion columns).
     """
     if spec.kind == "gen":
-        span, _, _ = present_subgroup(*lattice.dense())
+        span, _, _ = present_subgroup(lattice)
         return LengthValue.rational(span.free_rank + len(span.torsion))
     if spec.kind == "rank":
         return LengthValue.rational(lattice.free_rank)

@@ -2,10 +2,12 @@
 
 `eval_weak_length` and the span rows of `ratio_sequence` read rank, nu
 and gen off one incrementally grown `EchelonLattice`.  The reference here
-is the slow exact path: `subgroup_generated` (Hermite and Smith forms)
-for the free rank and the invariant factors, with nu the sum of their
-prime exponents and gen their number; a module subset is embedded into
-one group first (`embed_subset`).
+is the slow exact path: `subgroup_generated` (a Hermite basis, then a
+Smith form) for the free rank and the invariant factors, with nu the sum
+of their prime exponents and gen their number; a module subset is
+embedded into one group first (`embed_subset`).  That Hermite basis is
+the lattice's own `dense()`, which tests/test_intmat.py checks against
+an independent dense Euclid.
 """
 
 import math
@@ -95,6 +97,13 @@ def test_copy_leaves_the_original_unchanged():
         moduli = {0: 0, 1: 6, 2: 0, 3: 4}
         ref.insert({ref.column(c, moduli[c]): v for c, v in vec.items()})
     assert _state(twin) == _state(ref)
+    # dense() installs rows again: the twin's pivot 1 on column 1 rewrites
+    # row 0, which it still shares with the original
+    dense = lat.dense()
+    twin = lat.copy()
+    twin.insert({twin.column(1, 6): 1})
+    assert twin.dense()[0] == [[4, 0], [0, 1]]
+    assert _state(lat) == before and lat.dense() == dense
 
 
 # canonical groups with a mix of torsion and free parts (0 is a copy of Z)

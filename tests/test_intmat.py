@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwl.intmat import (
+    EchelonLattice,
     hermite_form,
     identity,
     invert_unimodular,
@@ -131,6 +132,94 @@ def test_hermite_random(m):
         if pivots:
             assert piv > pivots[-1]
         pivots.append(piv)
+
+
+def _reference_hermite(m):
+    """Dense column Euclid, independent of EchelonLattice: (h, t) with
+    h = t @ m in Hermite form and t unimodular, zero rows at the bottom."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(row) for row in m]
+    t = [[int(i == j) for j in range(rows)] for i in range(rows)]
+
+    def add_row(dst, src, q):  # row dst += q * row src, in a and t
+        for mat in (a, t):
+            mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
+
+    r = 0
+    for j in range(cols):
+        # Euclid on column j among rows >= r.
+        while True:
+            nz = [i for i in range(r, rows) if a[i][j] != 0]
+            if not nz:
+                break
+            pi = min(nz, key=lambda i: abs(a[i][j]))
+            a[r], a[pi] = a[pi], a[r]
+            t[r], t[pi] = t[pi], t[r]
+            done = True
+            for i in range(r + 1, rows):
+                if a[i][j] != 0:
+                    add_row(i, r, -(a[i][j] // a[r][j]))
+                    done = done and a[i][j] == 0
+            if done:
+                break
+        if r < rows and a[r][j] != 0:
+            if a[r][j] < 0:
+                add_row(r, r, -2)
+            for i in range(r):
+                add_row(i, r, -(a[i][j] // a[r][j]))
+            r += 1
+            if r == rows:
+                break
+    return a, t
+
+
+def _reference_basis(rows):
+    return [row for row in _reference_hermite(rows)[0] if any(row)]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(small_matrices)
+def test_hermite_forms_match_the_dense_reference(m):
+    ref_h, ref_t = _reference_hermite(m)
+    assert matmul(ref_t, m) == ref_h
+    assert hermite_form(m)[0] == ref_h
+    assert row_basis(m) == _reference_basis(m)
+    ref_kernel = [ref_t[i] for i, row in enumerate(ref_h) if not any(row)]
+    assert _reference_basis(left_kernel(m)) == _reference_basis(ref_kernel)
+
+
+@st.composite
+def torsion_lattices(draw):
+    """Column moduli (0 for a free column), rows to insert, and how many of
+    them go in before a first dense() call."""
+    moduli = draw(st.lists(st.sampled_from([0, 0, 2, 3, 4, 6, 9]), min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=len(moduli), max_size=len(moduli)),
+                         max_size=5))
+    return moduli, rows, draw(st.integers(0, len(rows)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(torsion_lattices())
+def test_lattice_dense_basis_matches_the_dense_reference(case):
+    moduli, rows, first = case
+    lattice = EchelonLattice()
+    for j, t in enumerate(moduli):
+        lattice.column(j, t)
+    for i, row in enumerate(rows):
+        if i == first:
+            lattice.dense()  # rewriting the rows must keep their lattice
+        lattice.insert({j: e for j, e in enumerate(row) if e})
+    relations = [[t if k == j else 0 for k in range(len(moduli))]
+                 for j, t in enumerate(moduli) if t]
+    assert lattice.dense() == (_reference_basis(rows + relations), relations)
+
+
+def test_dense_reduces_above_a_pivot_that_enters_later():
+    lattice = EchelonLattice()
+    lattice.insert({lattice.column(0, 0): 1, lattice.column(1, 0): 3})
+    lattice.insert({1: 2})
+    assert lattice.dense()[0] == [[1, 1], [0, 2]]
 
 
 def test_snf_huge_entries_stay_exact():
