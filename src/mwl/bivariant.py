@@ -17,8 +17,8 @@ that realizes l(A, B) = l(phi(A)) exactly: the difference-set witness
 (A - A) meet ker phi for the cover upgrading, and a generating set of
 <A> meet ker phi for the quotient upgrading (exact over Z, so no
 epsilon slack is needed).  That generating set comes from one integer
-left kernel: the combinations x @ A with x @ phi(A) in the target's
-relations, brought to Hermite form together with the source relations.
+left kernel: the combinations x @ A with x @ phi(A) = 0 modulo the
+target's torsion orders, in Hermite form modulo the source's.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .subsets import (
 )
 from .values import LengthValue, value_add, value_cmp
 from .weaklength import (
+    LOG_CARD,
     NU,
     RANK,
     CheckReport,
@@ -178,10 +179,8 @@ def bivariant_eval(spec: BivariantSpec, g, a, b, max_candidates=MAX_COVER_CANDID
 
 
 def unary_value(spec: BivariantSpec, g, a) -> LengthValue:
-    """The weak length the bivariant spec upgrades, evaluated on a."""
-    if spec.kind == "cover_log":
-        return LengthValue.log_count(len(a))
-    return eval_weak_length(spec.base, g, a)
+    """The weak length the spec upgrades (cover_log: log_card), on a."""
+    return eval_weak_length(spec.base or LOG_CARD, g, a)
 
 
 def kernel_witness(spec: BivariantSpec, phi: AbHom, a: FiniteSubset) -> FiniteSubset:
@@ -200,12 +199,12 @@ def kernel_witness(spec: BivariantSpec, phi: AbHom, a: FiniteSubset) -> FiniteSu
         members = [x for x in diffs if phi(x).is_zero()]
         return FiniteSubset.of(g, members + [g.zero()])
 
-    # x @ A lies in ker phi exactly when x @ phi(A) lies in the target's
-    # relation lattice: one left kernel gives every such x
+    # x @ A lies in ker phi exactly when x @ phi(A) = 0 with columns read
+    # modulo the target's torsion orders: one left kernel gives every such x
     coords = [list(x.coords) for x in a]
     images = [list(phi(x).coords) for x in a]
-    kernel = [w[:len(coords)] for w in left_kernel(images + phi.target.relation_rows())]
-    lattice = row_basis(matmul(kernel, coords) + g.relation_rows())
+    kernel = left_kernel(images, phi.target._moduli)
+    lattice = row_basis(matmul(kernel, coords), g._moduli)
     return FiniteSubset.of(g, [g.element(row) for row in lattice] + [g.zero()])
 
 

@@ -19,6 +19,7 @@ from operator import add, mod, neg
 from .errors import DomainError
 from .intmat import (
     EchelonLattice,
+    echelon_lattice,
     identity,
     lattice_intersection,
     left_kernel,
@@ -227,12 +228,7 @@ def present_subgroup(lattice: EchelonLattice) -> tuple[FinAbGroup, list[list[int
 def _subgroup_from_rows(g: FinAbGroup, rows) -> tuple[FinAbGroup, AbHom]:
     """Present (rowspan(rows) + relations)/relations as a subgroup of g, on
     a lattice whose columns are g's coordinates modulo g's torsion orders."""
-    lattice = EchelonLattice()
-    for j, t in enumerate(g.torsion + (0,) * g.free_rank):
-        lattice.column(j, t)
-    for row in rows:
-        lattice.insert({j: e for j, e in enumerate(row) if e})
-    sub, basis, section = present_subgroup(lattice)
+    sub, basis, section = present_subgroup(echelon_lattice(rows, g._moduli))
     incl_rows = matmul(section, basis)
     return sub, AbHom.from_rows(sub, g, [g.reduce(r) for r in incl_rows])
 
@@ -264,10 +260,7 @@ def quotient_group(g: FinAbGroup, generators) -> tuple[FinAbGroup, AbHom]:
 
 def hom_kernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
     """Kernel of h as a presented subgroup of the source."""
-    n = h.source.ambient_dim
-    stacked = [list(r) for r in h.matrix] + h.target.relation_rows()
-    kernel_rows = [w[:n] for w in left_kernel(stacked)]
-    return _subgroup_from_rows(h.source, kernel_rows)
+    return _subgroup_from_rows(h.source, left_kernel(h.matrix, h.target._moduli))
 
 
 def hom_image(h: AbHom) -> tuple[FinAbGroup, AbHom]:

@@ -8,11 +8,11 @@ right.  The Smith form returns its right transform v with v's inverse
 transform.  EchelonLattice is the one Hermite elimination: it grows an
 echelon basis vector by vector, its rank and index give `rank` and
 `nu`, and its dense rows are the Hermite basis of its lattice.  Every
-Hermite form, kernel and subgroup presentation reads such a basis:
-row_basis is the basis over free columns, hermite_form splits the basis
-of [m | I] into [h | t], and left_kernel, the one kernel routine
-(kernels of group homomorphisms, of F_p matrices stacked over p*I and
-of the sofic transfer systems), keeps the t rows whose h row is zero.
+Hermite form, kernel and subgroup presentation reads such a basis, its
+columns read modulo their torsion orders: row_basis is that basis,
+hermite_form splits the basis of [m | I] into [h | t], and left_kernel,
+the one kernel routine (kernels of group homomorphisms, of F_p matrices
+and of the sofic transfer systems), keeps the t rows whose h row is zero.
 """
 
 from __future__ import annotations
@@ -135,29 +135,36 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
     return a, v, v_inv
 
 
-def hermite_form(m) -> tuple[list[list[int]], list[list[int]]]:
-    """Row echelon form over the integers with transform: h = t @ m.
+def hermite_form(m, moduli=None) -> tuple[list[list[int]], list[list[int]]]:
+    """Row echelon form over the integers with transform: h = t @ m, each
+    column j read modulo moduli[j] (0, or no moduli: free).
 
     Pivots are positive, entries above each pivot are reduced into
     [0, pivot), and t is unimodular.  Zero rows sink to the bottom.  The
-    rows of [m | I] are a basis of their lattice, so its Hermite basis
-    (row_basis) has one row per row of m and splits as [h | t].
+    Hermite basis (row_basis) of the rows of [m | I] splits as [h | t],
+    with one row per row of m and per torsion column.
     """
-    cols = len(m[0]) if m else 0
+    cols = len(m[0]) if m else len(moduli or ())
+    moduli = tuple(moduli or (0,) * cols) + (0,) * len(m)
     basis = row_basis([list(row) + [int(i == k) for k in range(len(m))]
-                       for i, row in enumerate(m)])
+                       for i, row in enumerate(m)], moduli)
     return [row[:cols] for row in basis], [row[cols:] for row in basis]
 
 
-def row_basis(rows) -> list[list[int]]:
-    """Hermite basis of the lattice spanned by the given rows: the dense
-    basis of an EchelonLattice over free columns."""
+def echelon_lattice(rows, moduli) -> "EchelonLattice":
+    """The EchelonLattice of the given rows, column j read modulo moduli[j]."""
     lattice = EchelonLattice()
-    for j in range(len(rows[0]) if rows else 0):
-        lattice.column(j, 0)
+    for j, t in enumerate(moduli):
+        lattice.column(j, t)
     for row in rows:
         lattice.insert({j: e for j, e in enumerate(row) if e})
-    return lattice.dense()[0]
+    return lattice
+
+
+def row_basis(rows, moduli=None) -> list[list[int]]:
+    """Hermite basis of the lattice the rows span, column j read modulo
+    moduli[j] (no moduli: all free): the dense basis of their EchelonLattice."""
+    return echelon_lattice(rows, moduli or (0,) * (len(rows[0]) if rows else 0)).dense()[0]
 
 
 def solve_left(basis, target) -> list[int] | None:
@@ -183,9 +190,9 @@ def solve_left(basis, target) -> list[int] | None:
     return None if any(v) else x
 
 
-def left_kernel(m) -> list[list[int]]:
-    """Basis rows of the lattice {x : x @ m = 0}."""
-    h, t = hermite_form(m)
+def left_kernel(m, moduli=None) -> list[list[int]]:
+    """Basis rows of the lattice {x : x @ m = 0}, column j read modulo moduli[j]."""
+    h, t = hermite_form(m, moduli)
     return [t[i] for i in range(len(h)) if not any(h[i])]
 
 
@@ -217,14 +224,49 @@ def lattice_intersection(rows_a, rows_b, dim: int) -> list[list[int]]:
     return row_basis(inter)
 
 
+# Miller-Rabin on the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 41 below _MR_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def exponent_sum(n: int) -> int:
-    """Number of prime factors of n >= 1, counted with multiplicity."""
+    """Number of prime factors of n >= 1, counted with multiplicity.
+
+    Trial division; past the divisor 100, Miller-Rabin tests each new
+    cofactor, and one below _MR_BOUND that is prime ends the division.
+    Above the bound it divides on, so the count stays exact.
+    """
     total = 0
     p = 2
+    test = True  # the cofactor changed since Miller-Rabin last saw it
     while p * p <= n:
+        if p > 100 and test:
+            if n < _MR_BOUND and _is_prime(n):
+                break
+            test = False
         while n % p == 0:
             n //= p
             total += 1
+            test = True
         p += 1 if p == 2 else 2
     if n > 1:
         total += 1

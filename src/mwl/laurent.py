@@ -18,7 +18,7 @@ t-saturating the polynomial module (dividing out combinations that
 vanish mod t) so that polynomial membership agrees with Laurent
 membership; both divide by the whole power of t in one helper,
 _tnormalize.  The combinations come from the integer left kernel of the
-rows' constant terms stacked over p*I (intmat.left_kernel), read mod p.
+rows' constant terms, columns read modulo p (intmat.left_kernel).
 Normal forms, pivot polynomials and quotient sizes depend only on the
 submodule, not on the basis or kernel basis reached.  When the
 quotient is finite, the staircase is a square upper triangular matrix B,
@@ -145,14 +145,12 @@ class StaircaseBasis:
 
     def _saturate(self):
         p = self.p
-        modulus = [[p if i == j else 0 for j in range(self.k)] for i in range(self.k)]
         while True:
             if not self.rows:
                 return
             consts = [[(c[0] if c else 0) for c in row] for row in self.rows]
-            # gamma @ consts = 0 mod p; zip below drops gamma's p*I part
             added = False
-            for gamma in left_kernel(consts + modulus):
+            for gamma in left_kernel(consts, (p,) * self.k):  # gamma @ consts = 0 mod p
                 combo = [()] * self.k
                 for coeff, row in zip(gamma, self.rows):
                     if coeff:

@@ -126,7 +126,7 @@ def random_automorphism(rng, group: FinAbGroup) -> AbHom:
     full = identity(group.ambient_dim)
     for _ in range(AUTOMORPHISM_TRIES):
         phi = random_hom(rng, group, group)
-        if row_basis([list(r) for r in phi.matrix] + group.relation_rows()) == full:
+        if row_basis(phi.matrix, group._moduli) == full:
             return phi
     return AbHom.identity(group)
 

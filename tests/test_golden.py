@@ -24,6 +24,7 @@ SCENARIO_COMMANDS = {
     "finite-quotient": "mean",
     "gen-product": "wl-axioms",
     "gen-table": "mean",
+    "large-prime-order": "wl-eval",
     "proper-submodule": "mean",
     "quotient-upgrading": "biv-check",
     "rank-without-zero": "mean",
@@ -38,6 +39,7 @@ GOLDEN = {
     "scenario:finite-quotient": (0, "3c04ab8fbb67cded72206e0138c2009712b8cd7cfd8ec86933a025049b221dfb"),
     "scenario:gen-product": (2, "560dc13bc9e2d173ba7735ecc3a56173d96e3735f6e2c8015e97b68912184364"),
     "scenario:gen-table": (0, "276934caee8f81647a61ee910c08b3e0366f2127e9db09f5710ae961811515d9"),
+    "scenario:large-prime-order": (0, "449ae4656d821604bc5a237524a9a69fc1efab9d62f9d56851b60027508a7209"),
     "scenario:proper-submodule": (0, "1fe1ba8c071c40646be1c995cb8f6728e882a3ae128d140049053e55b1ea8466"),
     "scenario:quotient-upgrading": (0, "7fe125a4f14c8d35974772b7621e7195135e967db72ea1a3f6562c4e13110bf8"),
     "scenario:rank-without-zero": (0, "36a84a138030c43b418ebc80007b9a20852de3a6bdfb42adb62c129b46cd60ce"),

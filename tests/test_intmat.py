@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mwl.intmat import (
     EchelonLattice,
+    exponent_sum,
     hermite_form,
     identity,
     invert_unimodular,
@@ -189,6 +190,22 @@ def test_hermite_forms_match_the_dense_reference(m):
     assert _reference_basis(left_kernel(m)) == _reference_basis(ref_kernel)
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(small_matrices, st.data())
+def test_column_moduli_match_stacked_relation_rows(m, data):
+    cols = len(m[0])
+    moduli = data.draw(st.lists(st.sampled_from([0, 0, 2, 3, 4, 6, 9]),
+                                min_size=cols, max_size=cols))
+    relations = [[t if k == j else 0 for k in range(cols)] for j, t in enumerate(moduli) if t]
+    assert row_basis(m, moduli) == row_basis(m + relations)
+    kernel = left_kernel(m, moduli)
+    for x in matmul(kernel, m):
+        assert not any(e % t if t else e for e, t in zip(x, moduli))
+    # the stacked form: a kernel over m and the relations, multipliers cut off
+    stacked = [w[:len(m)] for w in left_kernel(m + relations)]
+    assert row_basis(kernel) == row_basis(stacked)
+
+
 @st.composite
 def torsion_lattices(draw):
     """Column moduli (0 for a free column), rows to insert, and how many of
@@ -270,3 +287,27 @@ def test_lattice_intersection():
     assert row_basis(inter) == [[2, 0], [0, 3]]
     # span{(1,1)} meets span{(1,-1)} trivially in Z^2
     assert lattice_intersection([[1, 1]], [[1, -1]], 2) == []
+
+
+def _trial_exponent_sum(n):
+    total, p = 0, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            total += 1
+        p += 1
+    return total + (n > 1)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.integers(1, 10 ** 7 - 1),
+                 st.builds(lambda a, b: a * b, st.integers(100, 3000), st.integers(100, 3000))))
+def test_exponent_sum_matches_trial_division(n):
+    assert exponent_sum(n) == _trial_exponent_sum(n)
+
+
+def test_exponent_sum_of_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2-7 and 2-23: fewer than 13
+    # Miller-Rabin bases would call them prime
+    assert exponent_sum(151 * 751 * 28351) == exponent_sum(3215031751) == 3
+    assert exponent_sum(149491 * 747451 * 34233211) == exponent_sum(3825123056546413051) == 3
