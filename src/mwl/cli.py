@@ -15,6 +15,7 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -69,6 +70,10 @@ def _estimate_table(est_json) -> list[str]:
 
 
 # -- subcommands --------------------------------------------------------
+#
+# Each handler returns (exit code, report, table), where table is a
+# zero-argument callable giving the text lines: run calls it only when
+# the table is printed, so --format json renders none.
 
 
 def _cmd_wl_eval(args):
@@ -76,21 +81,23 @@ def _cmd_wl_eval(args):
     value = eval_weak_length(spec, group, subset)
     report = {"result": {"value": value.to_json(), "group": str(group),
                          "set_size": len(subset), "weak_length": spec.to_json()}}
-    table = [f"{spec} on a {len(subset)}-element subset of {group}: "
-             f"{value} ~ {render_float(value.as_float())}"]
-    return 0, report, table
+    return 0, report, lambda: [f"{spec} on a {len(subset)}-element subset of {group}: "
+                               f"{value} ~ {render_float(value.as_float())}"]
 
 
 def _cmd_wl_axioms(args):
     spec, axioms, budget, seed = scenario.wl_axioms(args.scenario, args.budget, args.seed)
     reports = [check_axiom(spec, axiom, seed, budget) for axiom in axioms]
     failed = [r for r in reports if not r.passed]
-    table_rows = [[r.axiom, "pass" if r.passed else "FAIL", str(r.checked)]
-                  for r in reports]
-    table = _render_table(table_rows, ["axiom", "status", "samples"])
-    for r in failed:
-        table.append(f"counterexample for {r.axiom}: "
-                     + json.dumps(r.counterexample, sort_keys=True))
+
+    def table():
+        lines = _render_table([[r.axiom, "pass" if r.passed else "FAIL", str(r.checked)]
+                               for r in reports], ["axiom", "status", "samples"])
+        for r in failed:
+            lines.append(f"counterexample for {r.axiom}: "
+                         + json.dumps(r.counterexample, sort_keys=True))
+        return lines
+
     report = {"result": {"checks": [r.to_json() for r in reports],
                          "seed": seed, "budget": budget}}
     return (2 if failed else 0), report, table
@@ -106,54 +113,67 @@ def _cmd_biv_eval(args):
     else:
         value = bivariant_eval(spec, group, a, b)
         result["value"] = value.to_json()
-    table = [f"{spec}(A, B) = {value} ~ {render_float(value.as_float())}"]
-    if "witness_cover" in result:
-        table.append(f"minimizing cover: {result['witness_cover']}")
+
+    def table():
+        lines = [f"{spec}(A, B) = {value} ~ {render_float(value.as_float())}"]
+        if "witness_cover" in result:
+            lines.append(f"minimizing cover: {result['witness_cover']}")
+        return lines
+
     return 0, {"result": result}, table
 
 
 def _cmd_biv_check(args):
     spec, budget, seed = scenario.biv_check(args.scenario, args.budget, args.seed)
     report = check_upgrading_proper(spec, seed, budget)
-    table = [f"proper-upgrading laws for {spec}: "
-             f"{'pass' if report.passed else 'FAIL'} on {report.checked} instances"]
-    if not report.passed:
-        table.append("counterexample: " + json.dumps(report.counterexample, sort_keys=True))
+
+    def table():
+        lines = [f"proper-upgrading laws for {spec}: "
+                 f"{'pass' if report.passed else 'FAIL'} on {report.checked} instances"]
+        if not report.passed:
+            lines.append("counterexample: " + json.dumps(report.counterexample, sort_keys=True))
+        return lines
+
     return (0 if report.passed else 2), {"result": report.to_json()}, table
 
 
 def _cmd_mean(args):
-    est = ratio_sequence(*scenario.mean(args.scenario, args.n_max))
-    return 0, {"result": est.to_json()}, _estimate_table(est.to_json())
+    result = ratio_sequence(*scenario.mean(args.scenario, args.n_max)).to_json()
+    return 0, {"result": result}, lambda: _estimate_table(result)
 
 
 def _cmd_addition(args):
     report = addition_report(*scenario.addition(args.scenario, args.n_max))
-    table = [f"addition formula verdict: {report.verdict}",
-             f"easy direction: {'holds' if report.easy_direction_ok else 'VIOLATED'}",
-             "", "total module:"]
-    table += _estimate_table(report.total.to_json())
-    table += ["", "submodule:"]
-    table += _estimate_table(report.submodule.to_json())
-    table += ["", "quotient:"]
-    table += _estimate_table(report.quotient.to_json())
+    result = report.to_json()
+
+    def table():
+        lines = [f"addition formula verdict: {report.verdict}",
+                 f"easy direction: {'holds' if report.easy_direction_ok else 'VIOLATED'}"]
+        for part, title in (("total", "total module"), ("submodule", "submodule"),
+                            ("quotient", "quotient")):
+            lines += ["", f"{title}:"] + _estimate_table(result[part])
+        return lines
+
     code = 0 if report.easy_direction_ok and report.verdict != "VALUES-DIFFER" else 2
-    return code, {"result": report.to_json()}, table
+    return code, {"result": result}, table
 
 
 def _cmd_example(args):
     report = run_example(args.name, args.n_max)
-    table = [f"example {report.name}: {'PASS' if report.passed else 'FAIL'}",
-             report.description, ""]
-    rows = [[("ok" if c.ok else "FAIL"), c.label, c.computed, c.expected]
-            for c in report.checks]
-    table += _render_table(rows, ["status", "check", "computed", "expected"])
+
+    def table():
+        rows = [[("ok" if c.ok else "FAIL"), c.label, c.computed, c.expected]
+                for c in report.checks]
+        return ([f"example {report.name}: {'PASS' if report.passed else 'FAIL'}",
+                 report.description, ""]
+                + _render_table(rows, ["status", "check", "computed", "expected"]))
+
     return (0 if report.passed else 2), {"result": report.to_json()}, table
 
 
 def _cmd_list_examples(args):
     names = example_names()
-    return 0, {"result": {"examples": names}}, list(names)
+    return 0, {"result": {"examples": names}}, lambda: list(names)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,8 +183,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes --format, --out and only the flags it reads."""
+    """Each subcommand takes --format, --out and only the flags it reads.
+
+    Built once per process: parse_args keeps no state between calls (each
+    returns a fresh Namespace, and _Parser.error raises before anything is
+    stored), so every run shares this parser."""
     parser = _Parser(
         prog="mwl",
         description="exact weak-length, bivariant-upgrading and mean-value toolkit")
@@ -220,7 +245,7 @@ def run(argv) -> int:
         if args.format in ("json", "both"):
             print(payload)
         if args.format in ("table", "both"):
-            print("\n".join(table))
+            print("\n".join(table()))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early.  Point stdout at devnull so the

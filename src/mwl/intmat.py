@@ -9,13 +9,17 @@ transform.  EchelonLattice is the one Hermite elimination: it grows an
 echelon basis vector by vector, its rank and index give `rank` and
 `nu`, and its dense rows are the Hermite basis of its lattice.  Every
 Hermite form, kernel and subgroup presentation reads such a basis, its
-columns read modulo their torsion orders: row_basis is that basis,
-hermite_form splits the basis of [m | I] into [h | t], and left_kernel,
-the one kernel routine (kernels of group homomorphisms, of F_p matrices
-and of the sofic transfer systems), keeps the t rows whose h row is zero.
+columns read modulo their torsion orders: row_basis is that basis, and
+hermite_form splits the basis of [m | I] into [h | t].  left_kernel, the
+one kernel routine (kernels of group homomorphisms, of F_p matrices and
+of the sofic transfer systems), reads the echelon rows of [m | I] whose
+pivot is a transform column; it skips the Hermite reduction, as every
+caller reads only the lattice those rows span.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def identity(n: int) -> list[list[int]]:
@@ -144,11 +148,18 @@ def hermite_form(m, moduli=None) -> tuple[list[list[int]], list[list[int]]]:
     Hermite basis (row_basis) of the rows of [m | I] splits as [h | t],
     with one row per row of m and per torsion column.
     """
+    lattice, cols = _augmented(m, moduli)
+    basis = lattice.dense()[0]
+    return [row[:cols] for row in basis], [row[cols:] for row in basis]
+
+
+def _augmented(m, moduli) -> tuple["EchelonLattice", int]:
+    """The EchelonLattice of the rows of [m | I], column j < cols read
+    modulo moduli[j] and the transform columns free, and cols."""
     cols = len(m[0]) if m else len(moduli or ())
     moduli = tuple(moduli or (0,) * cols) + (0,) * len(m)
-    basis = row_basis([list(row) + [int(i == k) for k in range(len(m))]
-                       for i, row in enumerate(m)], moduli)
-    return [row[:cols] for row in basis], [row[cols:] for row in basis]
+    rows = [list(row) + [int(i == k) for k in range(len(m))] for i, row in enumerate(m)]
+    return echelon_lattice(rows, moduli), cols
 
 
 def echelon_lattice(rows, moduli) -> "EchelonLattice":
@@ -191,9 +202,15 @@ def solve_left(basis, target) -> list[int] | None:
 
 
 def left_kernel(m, moduli=None) -> list[list[int]]:
-    """Basis rows of the lattice {x : x @ m = 0}, column j read modulo moduli[j]."""
-    h, t = hermite_form(m, moduli)
-    return [t[i] for i in range(len(h)) if not any(h[i])]
+    """Basis rows of the lattice {x : x @ m = 0}, column j read modulo moduli[j].
+
+    They are the echelon rows of [m | I] whose pivot is a transform
+    column, so their m part is zero, read over the transform columns.
+    The basis is echelon but not Hermite-reduced."""
+    lattice, cols = _augmented(m, moduli)
+    width = cols + len(m)
+    return [[row.get(k, 0) for k in range(cols, width)]
+            for c, row in sorted(lattice._rows.items()) if c >= cols]
 
 
 def invert_unimodular(m) -> list[list[int]]:
@@ -231,7 +248,8 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n > 41 below _MR_BOUND."""
+    """Miller-Rabin on _MR_BASES for odd n > 41.  False proves n composite;
+    True proves n prime below _MR_BOUND."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -248,28 +266,74 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# steps of rho whose differences share one gcd
+_BRENT_BATCH = 128
+
+
+def _brent_divisor(n: int) -> int:
+    """A divisor 1 < d < n of the odd composite n: Pollard's rho with
+    Brent's cycle search (Brent, BIT 20, 1980) on x -> x^2 + c from x = 2,
+    tried for c = 1, 2, ... in turn, so d is a function of n alone."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y  # the batch start, to step again if the batch overshoots
+                for _ in range(min(_BRENT_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _BRENT_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def exponent_sum(n: int) -> int:
     """Number of prime factors of n >= 1, counted with multiplicity.
 
-    Trial division; past the divisor 100, Miller-Rabin tests each new
-    cofactor, and one below _MR_BOUND that is prime ends the division.
-    Above the bound it divides on, so the count stays exact.
+    Trial division by the divisors below 101.  Each part left over then
+    meets Miller-Rabin: a witness proves it composite, and Pollard-Brent
+    splits it; no witness proves it prime below _MR_BOUND.  Past the
+    bound, a part with no witness is trial-divided, so the count stays
+    exact.
     """
     total = 0
     p = 2
-    test = True  # the cofactor changed since Miller-Rabin last saw it
-    while p * p <= n:
-        if p > 100 and test:
-            if n < _MR_BOUND and _is_prime(n):
-                break
-            test = False
+    while p * p <= n and p < 101:
         while n % p == 0:
             n //= p
             total += 1
-            test = True
         p += 1 if p == 2 else 2
-    if n > 1:
-        total += 1
+    if p * p > n:  # n is 1 or a prime
+        return total + (n > 1)
+    parts = [n]  # each part > 1 with no prime factor below 101
+    while parts:
+        m = parts.pop()
+        if not _is_prime(m):
+            d = _brent_divisor(m)
+            parts += [d, m // d]
+        elif m < _MR_BOUND:
+            total += 1
+        else:
+            p = 101
+            while p * p <= m and m % p:
+                p += 2
+            if p * p > m:
+                total += 1
+            else:
+                parts += [p, m // p]
     return total
 
 

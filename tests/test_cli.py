@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 import mwl
 from mwl.cli import run
+from test_golden import GOLDEN, SCENARIO_COMMANDS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -188,6 +190,22 @@ def test_json_only_format(capsys):
     code, out = invoke(capsys, "list-examples", "--format", "json")
     assert code == 0
     json.loads(out)  # the whole stdout is one JSON document
+
+
+@pytest.mark.parametrize("argv", [
+    ["wl-eval", "--scenario", str(SCENARIOS / "large-prime-order.json")],
+    ["wl-axioms", "--scenario", str(SCENARIOS / "gen-product.json")],
+    ["biv-eval", "--scenario", str(SCENARIOS / "cover-strictness.json")],
+    ["biv-check", "--scenario", str(SCENARIOS / "quotient-upgrading.json")],
+    ["mean", "--scenario", str(SCENARIOS / "z2-shift.json")],
+    ["addition", "--scenario", str(SCENARIOS / "addition-z4.json")],
+    ["example", "z2-vs-z3"],
+], ids=lambda argv: argv[0])
+def test_both_format_is_json_then_table(capsys, argv):
+    # the table is rendered only when printed; both prints exactly the two
+    runs = {fmt: invoke(capsys, *argv, "--format", fmt) for fmt in ("json", "table", "both")}
+    assert runs["both"][0] == runs["json"][0] == runs["table"][0]
+    assert runs["both"][1] == runs["json"][1] + runs["table"][1]
 
 
 def test_determinism_across_processes():
@@ -378,6 +396,23 @@ def _one_error_line(capsys, argv):
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert needle in _one_error_line(capsys, argv)
+
+
+def test_parser_keeps_no_state_between_runs(capsys, tmp_path):
+    # run builds its parser once per process: usage and input errors on it
+    # must leave the reports of later runs byte-identical to the golden ones
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"weak_length": {')
+    z2_shift = str(SCENARIOS / "z2-shift.json")
+    assert "unrecognized arguments: --bogus 1" in _one_error_line(
+        capsys, ["mean", "--scenario", z2_shift, "--bogus", "1"])
+    assert "argument --format: invalid choice" in _one_error_line(
+        capsys, ["example", "z2-vs-z3", "--format", "yaml"])
+    assert "line" in _one_error_line(capsys, ["mean", "--scenario", str(bad)])
+    for name in ("z2-shift", "addition-z4"):
+        code, out = invoke(capsys, SCENARIO_COMMANDS[name], "--scenario",
+                           str(SCENARIOS / f"{name}.json"), "--format", "json")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[f"scenario:{name}"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,6 +28,7 @@ SCENARIO_COMMANDS = {
     "proper-submodule": "mean",
     "quotient-upgrading": "biv-check",
     "rank-without-zero": "mean",
+    "semiprime-order": "wl-eval",
     "torsion-fibonacci": "mean",
     "z2-shift": "mean",
 }
@@ -43,6 +44,7 @@ GOLDEN = {
     "scenario:proper-submodule": (0, "1fe1ba8c071c40646be1c995cb8f6728e882a3ae128d140049053e55b1ea8466"),
     "scenario:quotient-upgrading": (0, "7fe125a4f14c8d35974772b7621e7195135e967db72ea1a3f6562c4e13110bf8"),
     "scenario:rank-without-zero": (0, "36a84a138030c43b418ebc80007b9a20852de3a6bdfb42adb62c129b46cd60ce"),
+    "scenario:semiprime-order": (0, "6cb3ffaa24292c54a21a2096253627ee18d351c64289124d211f148b1b023aff"),
     "scenario:torsion-fibonacci": (0, "e8c39a275e561919286cd8c92f473e8381322c20ffe816d089376875b2ccc5ab"),
     "scenario:z2-shift": (0, "c4f030e4b424dcf2803486995f483655abb28b8ac5a0bc72b4a944659ccc6f8d"),
     "example:addition-coeff-z4": (0, "52b06cd67a5256c9d35ef7c77fd0f2e1295b6009ddbcf8920c2de7e6009547e7"),

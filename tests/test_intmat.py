@@ -306,6 +306,24 @@ def test_exponent_sum_matches_trial_division(n):
     assert exponent_sum(n) == _trial_exponent_sum(n)
 
 
+# primes near 10^9: trial division would run on to the smallest of them
+PRIMES_NEAR_1E9 = (998244353, 999999937, 1000000007, 1000000009, 1000000021, 1000000033)
+
+
+def test_primes_near_1e9_are_prime():
+    assert all(_trial_exponent_sum(p) == 1 for p in PRIMES_NEAR_1E9)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from(PRIMES_NEAR_1E9), min_size=2, max_size=3),
+       st.integers(1, 10 ** 4))
+def test_exponent_sum_splits_products_of_large_primes(primes, small):
+    # two primes stay below the Miller-Rabin bound, three pass it; a
+    # witness proves the product composite either way, and Pollard-Brent
+    # splits it
+    assert exponent_sum(math.prod(primes) * small) == len(primes) + _trial_exponent_sum(small)
+
+
 def test_exponent_sum_of_strong_pseudoprimes():
     # strong pseudoprimes to the bases 2-7 and 2-23: fewer than 13
     # Miller-Rabin bases would call them prime
