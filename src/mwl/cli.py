@@ -5,6 +5,13 @@ wl-axioms for weak lengths on presented abelian groups, biv-eval and
 biv-check for the bivariant upgradings, mean and addition for the
 Folner engine, and example/list-examples for the named scenarios.
 
+The command line is read against one table, _COMMANDS: each subcommand
+with its handler and the flags it reads, in usage syntax.  A plain loop
+over argv reads `--flag value`, `--flag=value` and a unique prefix of a
+flag; -h or --help prints the usage the table gives and exits 0; every
+usage error is one `error:` line with exit 1.  Nothing is built before
+the first command, and run keeps no state between calls.
+
 Reports are deterministic: the same scenario and seed produce identical
 bytes (keys sorted, no timestamps, floats only in the human-readable
 table at 12 significant digits).  Exit codes: 0 success, 2 a checked
@@ -14,12 +21,12 @@ or input errors.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import scenario
 from .bivariant import bivariant_eval, check_upgrading_proper, cover_bivariant
@@ -176,50 +183,137 @@ def _cmd_list_examples(args):
     return 0, {"result": {"examples": names}}, lambda: list(names)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise, so that they end in one error line with exit 1."""
+# -- command line -------------------------------------------------------
+#
+# The one table of subcommands: each with its handler and the flags it
+# reads besides _COMMON, in usage syntax.  "[...]" marks an optional
+# flag, an upper-case word without "--" a positional.  A flag's
+# attribute is its name with "-" read as "_", and its value is an int
+# where the metavar is INT, one of the choices where the metavar lists
+# them with "|", and the string given otherwise.
 
-    def error(self, message):
-        raise ConfigurationError(message)
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes --format, --out and only the flags it reads.
-
-    Built once per process: parse_args keeps no state between calls (each
-    returns a fresh Namespace, and _Parser.error raises before anything is
-    stored), so every run shares this parser."""
-    parser = _Parser(
-        prog="mwl",
-        description="exact weak-length, bivariant-upgrading and mean-value toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name) for name in _HANDLERS}
-    for p in commands.values():
-        p.add_argument("--format", choices=["json", "table", "both"], default="both")
-        p.add_argument("--out", help="also write the JSON report to this path")
-    for name in ("wl-eval", "wl-axioms", "biv-eval", "mean", "addition"):
-        commands[name].add_argument("--scenario", required=True)
-    commands["biv-check"].add_argument("--scenario")
-    for name in ("wl-axioms", "biv-check"):
-        commands[name].add_argument("--seed", type=int)
-        commands[name].add_argument("--budget", type=int)
-    for name in ("mean", "addition", "example"):
-        commands[name].add_argument("--n-max", type=int, dest="n_max")
-    commands["example"].add_argument("name")
-    return parser
-
-
-_HANDLERS = {
-    "wl-eval": _cmd_wl_eval,
-    "wl-axioms": _cmd_wl_axioms,
-    "biv-eval": _cmd_biv_eval,
-    "biv-check": _cmd_biv_check,
-    "mean": _cmd_mean,
-    "addition": _cmd_addition,
-    "example": _cmd_example,
-    "list-examples": _cmd_list_examples,
+_COMMANDS = {
+    "wl-eval": (_cmd_wl_eval, ("--scenario PATH",)),
+    "wl-axioms": (_cmd_wl_axioms, ("--scenario PATH", "[--seed INT]", "[--budget INT]")),
+    "biv-eval": (_cmd_biv_eval, ("--scenario PATH",)),
+    "biv-check": (_cmd_biv_check, ("[--scenario PATH]", "[--seed INT]", "[--budget INT]")),
+    "mean": (_cmd_mean, ("--scenario PATH", "[--n-max INT]")),
+    "addition": (_cmd_addition, ("--scenario PATH", "[--n-max INT]")),
+    "example": (_cmd_example, ("NAME", "[--n-max INT]")),
+    "list-examples": (_cmd_list_examples, ()),
 }
+_COMMON = ("[--format json|table|both]", "[--out PATH]")  # --format defaults to both
+_HELP = ("-h", "--help")
+
+# a negative number is a value, not a flag (as in argparse)
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _is_flag(token: str) -> bool:
+    return token.startswith("-") and token != "-" and not _NEGATIVE_NUMBER.fullmatch(token)
+
+
+def _attribute(field: str) -> str:
+    return field.removeprefix("--").replace("-", "_")
+
+
+def _option(name: str, options) -> str | None:
+    """The option that `name` spells out or, past "--", uniquely begins."""
+    if name in options:
+        return name
+    matches = [o for o in options if len(name) > 2 and o.startswith(name)]
+    if len(matches) > 1:
+        raise ConfigurationError(f"ambiguous option: {name} could match {', '.join(matches)}")
+    return matches[0] if matches else None
+
+
+def _usage(command: str | None) -> str:
+    if command is not None:
+        return " ".join(("usage: mwl", command, *_COMMANDS[command][1], *_COMMON, "[-h]"))
+    width = max(map(len, _COMMANDS))
+    return "\n".join([
+        "usage: mwl COMMAND [FLAGS]",
+        "exact weak-length, bivariant-upgrading and mean-value toolkit",
+        "",
+        "commands and the flags each reads:",
+        *(f"  {name:<{width}}  {' '.join(specs)}".rstrip()
+          for name, (_, specs) in _COMMANDS.items()),
+        "every command also reads " + " ".join((*_COMMON, "[-h]")),
+    ])
+
+
+def _parse_args(argv):
+    """The namespace of `argv`: command, help, and one attribute per field
+    of the command's flags in _COMMANDS and of _COMMON.  With help set,
+    nothing after the -h or --help has been read."""
+    if not argv or _is_flag(argv[0]):
+        if argv and _option(argv[0], _HELP):
+            return SimpleNamespace(command=None, help=True)
+        raise ConfigurationError("the following arguments are required: command")
+    command = argv[0]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise ConfigurationError(
+            f"argument command: invalid choice: {command!r} (choose from {choices})")
+    flags, positionals, required = {}, [], []
+    for spec in _COMMANDS[command][1] + _COMMON:
+        field, _, metavar = spec.strip("[]").partition(" ")
+        if field.startswith("--"):
+            flags[field] = metavar
+        else:
+            field = field.lower()
+            positionals.append(field)
+        if not spec.startswith("["):
+            required.append(field)
+    values = {_attribute(f): None for f in (*flags, *positionals)}
+    values["format"] = "both"
+    given, extras, literal = set(), [], False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--" and not literal:  # every later token is a positional
+            literal = True
+            continue
+        if literal or not _is_flag(token):
+            if positionals:
+                field = positionals.pop(0)
+                values[field] = token
+                given.add(field)
+            else:
+                extras.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        flag = _option(name, (*flags, *_HELP))
+        if flag is None:
+            extras.append(token)
+            continue
+        if flag in _HELP:
+            if eq:
+                raise ConfigurationError(
+                    f"argument -h/--help: ignored explicit argument {value!r}")
+            return SimpleNamespace(command=command, help=True)
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise ConfigurationError(f"argument {flag}: expected one argument")
+        metavar = flags[flag]
+        if metavar == "INT":
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"argument {flag}: invalid int value: {value!r}") from None
+        elif "|" in metavar and value not in metavar.split("|"):
+            choices = ", ".join(map(repr, metavar.split("|")))
+            raise ConfigurationError(
+                f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        values[_attribute(flag)] = value
+        given.add(flag)
+    missing = [f for f in required if f not in given]
+    if missing:
+        raise ConfigurationError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ConfigurationError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, help=False, **values)
 
 
 def run(argv) -> int:
@@ -227,8 +321,11 @@ def run(argv) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        code, report, table = _HANDLERS[args.command](args)
+        args = _parse_args(argv)
+        if args.help:
+            print(_usage(args.command))
+            return 0
+        code, report, table = _COMMANDS[args.command][0](args)
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
+
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -305,9 +307,10 @@ def exponent_sum(n: int) -> int:
 
     Trial division by the divisors below 101.  Each part left over then
     meets Miller-Rabin: a witness proves it composite, and Pollard-Brent
-    splits it; no witness proves it prime below _MR_BOUND.  Past the
-    bound, a part with no witness is trial-divided, so the count stays
-    exact.
+    splits it; no witness proves it prime below _MR_BOUND.  A part past
+    the bound with no witness raises DomainError: its count would rest on
+    a test that proves nothing there, so orders are supported while every
+    such part lies below the bound.
     """
     total = 0
     p = 2
@@ -327,13 +330,9 @@ def exponent_sum(n: int) -> int:
         elif m < _MR_BOUND:
             total += 1
         else:
-            p = 101
-            while p * p <= m and m % p:
-                p += 2
-            if p * p > m:
-                total += 1
-            else:
-                parts += [p, m // p]
+            raise DomainError(
+                f"order factor {m} lies past {_MR_BOUND}, the bound on prime factors "
+                f"of orders: Miller-Rabin finds no witness but proves nothing there")
     return total
 
 

@@ -2,11 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import mwl
+from mwl import cli
 from mwl.cli import run
 from test_golden import GOLDEN, SCENARIO_COMMANDS
 
@@ -399,8 +401,8 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
 
 
 def test_parser_keeps_no_state_between_runs(capsys, tmp_path):
-    # run builds its parser once per process: usage and input errors on it
-    # must leave the reports of later runs byte-identical to the golden ones
+    # usage and input errors must leave the reports of later runs in the
+    # same process byte-identical to the golden ones
     bad = tmp_path / "bad.json"
     bad.write_text('{"weak_length": {')
     z2_shift = str(SCENARIOS / "z2-shift.json")
@@ -413,6 +415,116 @@ def test_parser_keeps_no_state_between_runs(capsys, tmp_path):
         code, out = invoke(capsys, SCENARIO_COMMANDS[name], "--scenario",
                            str(SCENARIOS / f"{name}.json"), "--format", "json")
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[f"scenario:{name}"]
+
+
+def test_flag_without_value_exits_1(capsys):
+    assert "argument --scenario: expected one argument" in _one_error_line(
+        capsys, ["mean", "--scenario"])
+    assert "argument --scenario: expected one argument" in _one_error_line(
+        capsys, ["mean", "--scenario", "--n-max", "3"])
+
+
+def test_ambiguous_prefix_exits_1(capsys):
+    assert "ambiguous option: --s could match --scenario, --seed" in _one_error_line(
+        capsys, ["biv-check", "--s", "5"])
+
+
+def _parsed(monkeypatch, argv):
+    """The namespace that run hands to the subcommand's handler."""
+    seen = []
+
+    def handler(args):
+        seen.append(vars(args))
+        return 0, {}, list
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (handler, cli._COMMANDS[argv[0]][1]))
+    assert run(argv + ["--format", "json"]) == 0
+    return seen[0]
+
+
+def test_flag_value_forms(monkeypatch):
+    assert _parsed(monkeypatch, ["biv-check", "--budget=3"])["budget"] == 3
+    args = _parsed(monkeypatch, ["wl-axioms", "--scenario", "s.json", "--seed", "-5"])
+    assert args["seed"] == -5
+    assert _parsed(monkeypatch, ["wl-axioms", "--scenario=s.json", "--seed=-5"]) == {
+        "command": "wl-axioms", "help": False, "scenario": "s.json", "seed": -5,
+        "budget": None, "format": "json", "out": None}
+    assert _parsed(monkeypatch, ["example", "-5"])["name"] == "-5"
+
+
+def test_unique_prefixes_name_their_flag(monkeypatch):
+    assert _parsed(monkeypatch, ["mean", "--scen", "s.json", "--n", "4"]) == {
+        "command": "mean", "help": False, "scenario": "s.json", "n_max": 4,
+        "format": "json", "out": None}
+
+
+def test_flag_given_twice_keeps_its_last_value(monkeypatch):
+    args = _parsed(monkeypatch, ["mean", "--scenario", "a", "--n-max", "2",
+                                 "--scenario", "b", "--n-max=5"])
+    assert (args["scenario"], args["n_max"]) == ("b", 5)
+
+
+def test_seed_minus_5_reaches_the_report(capsys):
+    code, out = invoke(capsys, "wl-axioms", "--scenario", str(SCENARIOS / "gen-product.json"),
+                       "--seed", "-5", "--format", "json")
+    assert code == 2 and json.loads(out)["result"]["seed"] == -5
+
+
+def _flags(specs):
+    return [spec.strip("[]").split()[0] for spec in specs]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["mean", "-h"]]
+                         + [[name, "--help"] for name in cli._COMMANDS])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "" and captured.out.startswith("usage: mwl")
+    names = argv[:1] if argv[0] in cli._COMMANDS else list(cli._COMMANDS)
+    for name in names:
+        assert name in captured.out
+        for flag in _flags(cli._COMMANDS[name][1] + cli._COMMON):
+            assert flag in captured.out, (name, flag)
+
+
+def test_help_stops_reading_the_command_line(capsys):
+    # as in argparse: flags before -h are read, the rest is not
+    assert run(["mean", "--bogus", "-h", "--n-max", "x"]) == 0
+    assert capsys.readouterr().out.startswith("usage: mwl mean ")
+    assert "invalid int value" in _one_error_line(capsys, ["mean", "--n-max", "x", "-h"])
+
+
+def test_readme_flag_table_is_the_parser_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| subcommand | flags |"):].split("\n\n")[0].splitlines()[2:]
+    documented = {}
+    for row in table:
+        names, flags = [cell.strip() for cell in row.strip("|").split("|")]
+        specs = () if flags == "none" else tuple(f.strip("` ") for f in flags.split(","))
+        for name in names.split(","):
+            documented[name.strip("` ")] = specs
+    assert documented == {name: specs for name, (_, specs) in cli._COMMANDS.items()}
+    assert all(spec.strip("[]") in readme for spec in cli._COMMON)
+
+
+def test_importing_the_cli_loads_no_argparse():
+    pkg_root = str(Path(mwl.__file__).resolve().parent.parent)
+    code = "import sys, mwl.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_order_factor_past_the_miller_rabin_bound_exits_1(capsys, tmp_path):
+    # C_(2^89 - 1): a prime order past the bound ends at once, not in trial division
+    scenario = {"group": {"free_rank": 0, "torsion": [2 ** 89 - 1]},
+                "weak_length": {"kind": "nu"}, "set": [[1]]}
+    t0 = time.perf_counter()
+    err = _one_error_line(capsys, ["wl-eval", "--scenario", write_scenario(tmp_path, scenario)])
+    assert time.perf_counter() - t0 < 0.5
+    assert err.startswith("error: order factor 618970019642690137449562111 ")
+    assert "3317044064679887385961981" in err
 
 
 @pytest.mark.parametrize("argv", [

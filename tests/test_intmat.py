@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mwl.errors import DomainError
 from mwl.intmat import (
     EchelonLattice,
     exponent_sum,
@@ -322,6 +323,15 @@ def test_exponent_sum_splits_products_of_large_primes(primes, small):
     # witness proves the product composite either way, and Pollard-Brent
     # splits it
     assert exponent_sum(math.prod(primes) * small) == len(primes) + _trial_exponent_sum(small)
+
+
+def test_exponent_sum_past_the_miller_rabin_bound_raises():
+    # 2^89 - 1 is prime, and past the bound Miller-Rabin proves nothing:
+    # no trial division runs on towards its square root
+    with pytest.raises(DomainError, match="3317044064679887385961981"):
+        exponent_sum(2 ** 89 - 1)
+    with pytest.raises(DomainError):
+        exponent_sum(12 * (2 ** 89 - 1))
 
 
 def test_exponent_sum_of_strong_pseudoprimes():

@@ -7,8 +7,7 @@ fails on any top-level name, or non-dunder method name of a top-level
 class, that no code under src/ mentions outside its own definition.
 Import lines do not count, since they hold no Name nodes.  Names that a
 traced benchmark span wraps (perfbench/spans.py) are allowed, because the
-span keeps them callable, and so is cli._Parser.error, which argparse
-calls.
+span keeps them callable.
 """
 
 import ast
@@ -58,5 +57,5 @@ def _definitions(tree):
 
 
 def test_every_definition_has_a_caller_in_src():
-    allowed = _span_names() | {"cli._Parser.error"}
+    allowed = _span_names()
     assert [name for name in _orphans() if name not in allowed] == []
